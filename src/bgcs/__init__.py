@@ -7,7 +7,6 @@ generators.
 
 from .coherent import coefficient, eigen_residual, f_series, inner_product, state_vector
 from .fock import (
-    SparseOperator,
     TruncatedRepSpace,
     commutator_residual,
     dump_triplets,

@@ -247,8 +247,7 @@ def _cmd_trace(args):
     mat = pathint.sliced_trace(hp, args.k, replace(config, backend="matrix"))
     space = fock.rep_space(hp.n, args.k, args.cutoff + 1)
     lam = pathint.transfer_eigenvalues(hp, args.k, args.cutoff + 1, config.step, weights)
-    bound = float(sum(abs(l) ** args.m for l, st in zip(lam, space.basis)
-                      if sum(st) == args.cutoff + 1))
+    bound = float(sum(np.abs(lam[space.deg == args.cutoff + 1]) ** args.m))
     gap = abs(complex(result.value) - complex(mat.value))
     report["reference"] = complex(mat.value).real
     report["series_bound"] = bound

@@ -62,14 +62,11 @@ def coefficients_by_recursion(space):
     k = space.k
     coeffs = np.zeros(space.dim)
     coeffs[0] = 1.0
-    for i, state in enumerate(space.basis):
-        total = sum(state)
-        if total == space.cutoff:
-            continue
-        for a in range(space.n):
-            child = list(state)
-            child[a] += 1
-            j = space.index[tuple(child)]
+    inner = np.flatnonzero(space.deg < space.cutoff)
+    children = space.rank(space.occ[inner, None, :] + np.eye(space.n, dtype=int))
+    for i, kids in zip(inner, children):
+        state, total = space.occ[i], space.deg[i]
+        for a, j in enumerate(kids):
             coeffs[j] = coeffs[i] / (math.sqrt(state[a] + 1.0) * math.sqrt(k + total))
     return coeffs
 
@@ -81,13 +78,8 @@ def state_vector(z, space):
         raise ValueError(f"label must have {space.n} components, got shape {z.shape}")
     if not np.all(np.isfinite(z)):
         raise ValueError("label components must be finite")
-    vec = np.empty(space.dim, dtype=complex)
-    for i, state in enumerate(space.basis):
-        mono = 1.0 + 0.0j
-        for za, na in zip(z, state):
-            mono *= za**na
-        vec[i] = coefficient(state, space.k) * mono
-    return vec
+    coeffs = np.array([coefficient(state, space.k) for state in space.occ.tolist()])
+    return coeffs * np.prod(z**space.occ, axis=1)
 
 
 def eigen_residual(z, space, alpha):
@@ -105,7 +97,7 @@ def eigen_residual(z, space, alpha):
     v = state_vector(z, space)
     lowering = fock.generator_matrix(space, space.n + 1, alpha)
     resid = lowering @ v - z[alpha - 1] * v
-    interior = np.array([space.degree(i) <= space.cutoff - 1 for i in range(space.dim)])
+    interior = space.deg <= space.cutoff - 1
     denom = float(np.linalg.norm(v[interior]))
     return float(np.linalg.norm(resid[interior])) / denom
 

@@ -1,4 +1,4 @@
-"""Truncated representation spaces for u(N,1) and sparse generator matrices.
+"""Truncated representation spaces for u(N,1) and their generator matrices.
 
 The algebra is realized on N+1 oscillator modes with the last occupation
 slaved to the first N: a basis ket is labelled by a multi-index
@@ -16,53 +16,69 @@ so no entry requires integer K.  For 0 < K < 1 the lowering coefficient at
 total degree zero multiplies sqrt(n_a) = 0 and is simply skipped, so all
 matrices stay real.
 
-Truncation keeps multi-indices with total degree <= cutoff.  Raising
-generators silently annihilate components that would leave the truncated
-space; consistency checks therefore restrict to interior states (degree at
-most cutoff - 2 for products of two generators).
+Truncation keeps multi-indices with total degree <= cutoff.  A space holds
+them as the rows of an integer array, ordered by total degree and then
+lexicographically, and maps occupation rows back to basis indices by the
+combinatorial number system.  Raising generators silently annihilate
+components that would leave the truncated space; consistency checks
+therefore restrict to interior states (degree at most cutoff - 2 for
+products of two generators).
 
-Matrices are scipy CSR with one entry per (row, col); a plain-text triplet
-dump ("row col re im" per line) is provided for interchange.
+Matrices are dense ndarrays; a plain-text triplet dump of the nonzero
+entries ("row col re im" per line) is provided for interchange.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
 
 import numpy as np
-import scipy.sparse as sp
-
-SparseOperator = sp.csr_matrix
-
-
-def _compositions(total, length):
-    """All length-tuples of nonnegative ints summing to total, lexicographic."""
-    if length == 1:
-        yield (total,)
-        return
-    for cuts in combinations_with_replacement(range(total + 1), length - 1):
-        bounds = (0,) + cuts + (total,)
-        yield tuple(bounds[i + 1] - bounds[i] for i in range(length))
 
 
 @dataclass
 class TruncatedRepSpace:
-    """Degree-truncated carrier space for one (N, K) representation."""
+    """Degree-truncated carrier space for one (N, K) representation.
+
+    `occ` holds one occupation row (n_1, ..., n_N) per basis index and
+    `deg` its total degree; `binom[m, j]` is the binomial C(m, j) that
+    `rank` needs, for m < cutoff + N and j <= N.
+    """
 
     n: int
     k: float
     cutoff: int
-    basis: tuple = field(repr=False, default=())
-    index: dict = field(repr=False, default_factory=dict)
+    occ: np.ndarray = field(repr=False, compare=False)
+    deg: np.ndarray = field(repr=False, compare=False)
+    binom: np.ndarray = field(repr=False, compare=False)
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.occ)
 
-    def degree(self, i):
-        return sum(self.basis[i])
+    def rank(self, rows):
+        """Basis indices of occupation rows (shape (..., N)).
+
+        A row of degree d follows the C(d - 1 + N, N) rows of lower degree.
+        Within its degree, among the rows that share its components before
+        a, those smaller at a come first: C(r + p, p) - C(r - n_a + p, p) of
+        them, where r is the degree left for the components from a on and
+        p the number of components after a.  Raises ValueError for a row
+        outside the space.
+        """
+        rows = np.asarray(rows)
+        if rows.shape[-1:] != (self.n,) or not np.issubdtype(rows.dtype, np.integer):
+            raise ValueError(f"need integer occupation rows of length {self.n}, got {rows!r}")
+        deg = rows.sum(axis=-1)
+        if np.any(rows < 0) or np.any(deg > self.cutoff):
+            raise ValueError(f"occupation rows outside the space (cutoff {self.cutoff}): {rows!r}")
+        index = self.binom[deg + self.n - 1, self.n]
+        left = deg
+        for a, p in enumerate(range(self.n - 1, 0, -1)):
+            index = index + self.binom[left + p, p]
+            left = left - rows[..., a]
+            index = index - self.binom[left + p, p]
+        return index
 
 
 def rep_space(n, k, cutoff):
@@ -75,62 +91,47 @@ def rep_space(n, k, cutoff):
     k = float(k)
     if not (k > 0.0 and math.isfinite(k)):
         raise ValueError(f"need representation label k > 0, got {k}")
-    basis = []
-    for d in range(cutoff + 1):
-        basis.extend(sorted(_compositions(d, n)))
-    basis = tuple(basis)
-    assert len(basis) == math.comb(cutoff + n, n)
-    index = {state: i for i, state in enumerate(basis)}
-    return TruncatedRepSpace(int(n), k, int(cutoff), basis, index)
+    n, cutoff = int(n), int(cutoff)
+    # all rows of degree <= cutoff in lexicographic order, one column at a time
+    occ = np.arange(cutoff + 1).reshape(-1, 1)
+    for _ in range(n - 1):
+        room = cutoff + 1 - occ.sum(axis=1)
+        start = np.repeat(np.cumsum(room) - room, room)
+        occ = np.column_stack([np.repeat(occ, room, axis=0), np.arange(len(start)) - start])
+    deg = occ.sum(axis=1)
+    order = np.argsort(deg, kind="stable")
+    binom = np.array([[math.comb(m, j) for j in range(n + 1)] for m in range(cutoff + n)])
+    return TruncatedRepSpace(n, k, cutoff, occ[order], deg[order], binom)
 
 
 def generator_matrix(space, alpha, beta):
     """Matrix of E_{alpha beta} on the truncated space (1-based indices,
     alpha and beta in 1..N+1)."""
-    n, k = space.n, space.k
+    n, k, occ, deg = space.n, space.k, space.occ, space.deg
     if not (1 <= alpha <= n + 1 and 1 <= beta <= n + 1):
         raise ValueError(f"generator indices must lie in 1..{n + 1}, got ({alpha}, {beta})")
-    rows, cols, vals = [], [], []
-    raising = n + 1  # index value meaning the (N+1)-st mode
-    for col, state in enumerate(space.basis):
-        total = sum(state)
-        if alpha == raising and beta == raising:
-            rows.append(col)
-            cols.append(col)
-            vals.append(k + total)
-        elif alpha == raising:  # lowering operator E_{N+1, beta}
-            nb = state[beta - 1]
-            if nb >= 1:
-                target = list(state)
-                target[beta - 1] -= 1
-                rows.append(space.index[tuple(target)])
-                cols.append(col)
-                vals.append(math.sqrt(nb * (k - 1.0 + total)))
-        elif beta == raising:  # raising operator E_{alpha, N+1}
-            if total <= space.cutoff - 1:
-                target = list(state)
-                target[alpha - 1] += 1
-                rows.append(space.index[tuple(target)])
-                cols.append(col)
-                vals.append(math.sqrt((state[alpha - 1] + 1) * (k + total)))
-        elif alpha == beta:
-            if state[alpha - 1]:
-                rows.append(col)
-                cols.append(col)
-                vals.append(float(state[alpha - 1]))
-        else:
-            nb = state[beta - 1]
-            if nb >= 1:
-                target = list(state)
-                target[beta - 1] -= 1
-                target[alpha - 1] += 1
-                rows.append(space.index[tuple(target)])
-                cols.append(col)
-                vals.append(math.sqrt(nb * (state[alpha - 1] + 1)))
-    mat = sp.csr_matrix(
-        (np.array(vals, dtype=float), (rows, cols)), shape=(space.dim, space.dim)
-    )
-    mat.sum_duplicates()
+    last = n + 1  # index value meaning the (N+1)-st mode
+    cols = np.arange(space.dim)
+    if alpha == last and beta == last:
+        vals = k + deg
+    elif alpha == last:  # lowering operator E_{N+1, beta}
+        cols = cols[occ[:, beta - 1] >= 1]
+        vals = np.sqrt(occ[cols, beta - 1] * (k - 1.0 + deg[cols]))
+    elif beta == last:  # raising operator E_{alpha, N+1}
+        cols = cols[deg <= space.cutoff - 1]
+        vals = np.sqrt((occ[cols, alpha - 1] + 1) * (k + deg[cols]))
+    elif alpha == beta:
+        vals = occ[:, alpha - 1].astype(float)
+    else:
+        cols = cols[occ[:, beta - 1] >= 1]
+        vals = np.sqrt(occ[cols, beta - 1] * (occ[cols, alpha - 1] + 1))
+    target = occ[cols]
+    if beta != last:
+        target[:, beta - 1] -= 1
+    if alpha != last:
+        target[:, alpha - 1] += 1
+    mat = np.zeros((space.dim, space.dim))
+    mat[space.rank(target), cols] = vals
     return mat
 
 
@@ -154,10 +155,10 @@ def commutator_residual(space, first, second):
     c, d = second
     am = generator_matrix(space, a, b)
     bm = generator_matrix(space, c, d)
-    resid = (am @ bm - bm @ am).toarray()
-    resid -= _metric(b, c, space.n) * generator_matrix(space, a, d).toarray()
-    resid += _metric(d, a, space.n) * generator_matrix(space, c, b).toarray()
-    interior = np.array([space.degree(i) <= space.cutoff - 2 for i in range(space.dim)])
+    resid = am @ bm - bm @ am
+    resid -= _metric(b, c, space.n) * generator_matrix(space, a, d)
+    resid += _metric(d, a, space.n) * generator_matrix(space, c, b)
+    interior = space.deg <= space.cutoff - 2
     if not interior.any():
         raise ValueError(f"cutoff {space.cutoff} leaves no interior states")
     block = resid[np.ix_(interior, interior)]
@@ -170,17 +171,17 @@ def subsidiary_residual(space):
     total = -sum(
         generator_matrix(space, a, a) for a in range(1, space.n + 1)
     ) + generator_matrix(space, space.n + 1, space.n + 1)
-    resid = total - space.k * sp.identity(space.dim, format="csr")
-    return float(np.max(np.abs(resid.toarray())))
+    resid = total - space.k * np.eye(space.dim)
+    return float(np.max(np.abs(resid)))
 
 
 def dump_triplets(op, stream):
-    """Write a sparse matrix as 'row col re im' lines (row-major order)."""
-    coo = sp.coo_matrix(op)
-    order = np.lexsort((coo.col, coo.row))
-    for i in order:
-        v = complex(coo.data[i])
-        stream.write(f"{coo.row[i]} {coo.col[i]} {v.real!r} {v.imag!r}\n")
+    """Write the nonzero entries of a matrix as 'row col re im' lines
+    (row-major order)."""
+    op = np.asarray(op)
+    for row, col in zip(*np.nonzero(op)):
+        v = complex(op[row, col])
+        stream.write(f"{row} {col} {v.real!r} {v.imag!r}\n")
 
 
 def load_triplets(stream, shape):
@@ -194,7 +195,9 @@ def load_triplets(stream, shape):
         rows.append(int(r))
         cols.append(int(c))
         vals.append(float(re) + 1j * float(im))
-    data = np.array(vals)
+    data = np.array(vals, dtype=complex)
     if np.all(data.imag == 0.0):
         data = data.real
-    return sp.csr_matrix((data, (rows, cols)), shape=shape)
+    mat = np.zeros(shape, dtype=data.dtype)
+    mat[rows, cols] = data
+    return mat

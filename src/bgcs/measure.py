@@ -398,12 +398,11 @@ def _basis_monomials(space, z):
             col.append(col[-1] * z[:, a])
         powers.append(col)
     m = np.empty((space.dim, count), dtype=complex)
-    for i, state in enumerate(space.basis):
-        mono = coherent.coefficient(state, space.k) * np.ones(count, dtype=complex)
+    for i, state in enumerate(space.occ.tolist()):
+        m[i] = coherent.coefficient(state, space.k)
         for a, na in enumerate(state):
             if na:
-                mono = mono * powers[a][na]
-        m[i] = mono
+                m[i] *= powers[a][na]
     return m
 
 
@@ -425,7 +424,7 @@ def resolution_check(model, cutoff, mode="quadrature", budget=10**5,
     space = fock.rep_space(model.n, model.k, cutoff)
     if mode == "quadrature":
         max_dev = 0.0
-        for state in space.basis:
+        for state in space.occ.tolist():
             res = moment_check(model, state, scheme)
             max_dev = max(max_dev, res.rel_err)
         return ResolutionResult(
@@ -452,23 +451,17 @@ def resolution_check(model, cutoff, mode="quadrature", budget=10**5,
 
     # analytic per-entry variance: E|g|^2 = C_m^2 C_n^2 prod (m_a+n_a)! *
     # Gamma(K + |m|+|n|) / Gamma(K), minus |delta_mn|^2
-    log_gk = log_gamma(model.k)
+    k, occ, deg = model.k, space.occ, space.deg
+    log_c = np.array([math.log(coherent.coefficient(state, k)) for state in occ.tolist()])
+    log_fact = np.array([math.lgamma(v + 1.0) for v in range(2 * cutoff + 1)])
+    log_gamma_kd = np.array([[math.lgamma(k + di + dj) for dj in range(cutoff + 1)]
+                             for di in range(cutoff + 1)])
+    log_c2 = 2.0 * log_c[:, None] + 2.0 * log_c[None, :]
+    log_m2 = (sum(log_fact[occ[:, None, a] + occ[None, :, a]] for a in range(model.n))
+              + log_gamma_kd[deg[:, None], deg[None, :]] - log_gamma(k))
+    var = np.maximum(np.exp(log_c2 + log_m2) - np.eye(dim), 1e-300)
     dev = np.abs(gram - np.eye(dim))
-    zsc = np.zeros((dim, dim))
-    for i, mi in enumerate(space.basis):
-        for j, nj in enumerate(space.basis):
-            log_c2 = (
-                2.0 * math.log(coherent.coefficient(mi, model.k))
-                + 2.0 * math.log(coherent.coefficient(nj, model.k))
-            )
-            log_m2 = (
-                sum(log_gamma(ma + na + 1.0) for ma, na in zip(mi, nj))
-                + log_gamma(model.k + sum(mi) + sum(nj))
-                - log_gk
-            )
-            second = math.exp(log_c2 + log_m2)
-            var = max(second - (1.0 if i == j else 0.0), 1e-300)
-            zsc[i, j] = dev[i, j] / math.sqrt(var / total)
+    zsc = dev / np.sqrt(var / total)
     return ResolutionResult(
         "montecarlo",
         {"n": model.n, "k": model.k, "cutoff": cutoff, "budget": int(budget),

@@ -186,14 +186,16 @@ def h_operator(hp, k, space):
     mu = hp.mu
     op = k * hp.c[-1] * np.eye(space.dim)
     for a in range(hp.n):
-        op += mu[a] * fock.generator_matrix(space, a + 1, a + 1).toarray()
+        op += mu[a] * fock.generator_matrix(space, a + 1, a + 1)
     return op
 
 
 def energies(hp, k, space):
     """Spectrum of H on the truncated basis, in basis order."""
+    # one np.dot per row: a matrix-vector product rounds some levels
+    # differently, which would move trace values in their last bits
     mu = hp.mu
-    return np.array([k * hp.c[-1] + float(np.dot(mu, state)) for state in space.basis])
+    return k * hp.c[-1] + np.array([np.dot(mu, state) for state in space.occ])
 
 
 def exact_spectral_trace(hp, k, beta, cutoff=None):
@@ -312,50 +314,60 @@ def exact_kernel_trace(hp, k, beta, mode="quadrature", budget=10**6,
 
 @lru_cache(maxsize=64)
 def _conv_table(n, cutoff):
-    """For each basis index t, the list of (i, j) basis pairs with
-    n_i + n_j = n_t; shared by series product, quotient, and exp."""
+    """Index arrays (i, j, t) over the basis pairs with n_i + n_j = n_t,
+    ordered by the degree of t and then by (i, j); shared by series
+    product, quotient, and exp."""
     space = fock.rep_space(n, 1.0, cutoff)
-    pairs = [[] for _ in range(space.dim)]
-    for i, ni in enumerate(space.basis):
-        di = sum(ni)
-        for j, nj in enumerate(space.basis):
-            if di + sum(nj) > cutoff:
-                continue
-            t = space.index[tuple(a + b for a, b in zip(ni, nj))]
-            pairs[t].append((i, j))
-    return space, pairs
+    deg = space.deg
+    partners = np.searchsorted(deg, cutoff - deg, side="right")  # the j with |i| + |j| <= cutoff
+    i = np.repeat(np.arange(space.dim), partners)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(partners) - partners, partners)
+    order = np.argsort(deg[i] + deg[j], kind="stable")
+    i, j = i[order], j[order]
+    table = (i, j, space.rank(space.occ[i] + space.occ[j]))
+    for arr in table:
+        arr.flags.writeable = False  # the cache hands the same arrays to every caller
+    return table
 
 
-def _series_mul(a, b, pairs):
-    out = np.zeros(len(pairs), dtype=np.result_type(a, b))
-    for t, plist in enumerate(pairs):
-        out[t] = sum(a[i] * b[j] for i, j in plist)
+def _degree_blocks(table, deg):
+    """Per total degree d >= 1: the pairs (i, j, t) with |i| > 0 and |t| = d,
+    whose j all lie below degree d, and the slice of degree-d basis indices."""
+    i, j, t = (arr[table[0] > 0] for arr in table)
+    levels = np.arange(1, deg[-1] + 2)
+    pair_edges, basis_edges = np.searchsorted(deg[t], levels), np.searchsorted(deg, levels)
+    for p0, p1, b0, b1 in zip(pair_edges, pair_edges[1:], basis_edges, basis_edges[1:]):
+        yield i[p0:p1], j[p0:p1], t[p0:p1], slice(b0, b1)
+
+
+def _series_mul(a, b, table):
+    # np.add.at and np.subtract.at apply repeated indices in order, so every
+    # coefficient here and below sums its terms in (i, j) order
+    i, j, t = table
+    out = np.zeros(len(a), dtype=np.result_type(a, b))
+    np.add.at(out, t, a[i] * b[j])
     return out
 
 
-def _series_div(a, b, pairs):
-    out = np.zeros(len(pairs), dtype=np.result_type(a, b, float))
-    for t, plist in enumerate(pairs):
-        acc = a[t]
-        for i, j in plist:
-            if j != t:
-                acc = acc - out[j] * b[i]
-        out[t] = acc / b[0]
+def _series_div(a, b, table, deg):
+    """Quotient of truncated series, one total degree at a time:
+    b_0 out_t = a_t - sum over |i| > 0 of b_i out_j."""
+    out = np.array(a, dtype=np.result_type(a, b, float))
+    out[0] /= b[0]
+    for i, j, t, block in _degree_blocks(table, deg):
+        np.subtract.at(out, t, out[j] * b[i])
+        out[block] /= b[0]
     return out
 
 
-def _series_exp(a, space, pairs):
+def _series_exp(a, table, deg):
     """exp of a truncated series, graded by total degree via the Euler
     identity deg * E_t = sum_{i+j=t} deg_i a_i E_j."""
-    degs = np.array([space.degree(i) for i in range(space.dim)])
-    out = np.zeros(space.dim, dtype=np.result_type(a, float))
+    out = np.zeros(len(a), dtype=np.result_type(a, float))
     out[0] = np.exp(a[0])
-    for t in range(1, space.dim):
-        acc = 0.0
-        for i, j in pairs[t]:
-            if degs[i] > 0:
-                acc = acc + degs[i] * a[i] * out[j]
-        out[t] = acc / degs[t]
+    for i, j, t, block in _degree_blocks(table, deg):
+        np.add.at(out, t, deg[i] * a[i] * out[j])
+        out[block] /= deg[block]
     return out
 
 
@@ -366,23 +378,23 @@ def transfer_eigenvalues(hp, k, cutoff, step, weights):
     F_N(K;x) exp(-step (K c_{N+1} + (1/K) sum mu_a x_a F_N(K+1;x)/F_N(K;x)))
     scaled by 1/C_p^2; the series algebra is exact up to the cutoff degree.
     """
-    space, pairs = _conv_table(hp.n, cutoff)
+    space = fock.rep_space(hp.n, k, cutoff)
     if weights == "linear":
         return 1.0 - step * energies(hp, k, space)
+    table = _conv_table(hp.n, cutoff)
     mu = hp.mu
-    fk = np.array([coefficient(state, k) ** 2 for state in space.basis])
-    fk1 = np.array([coefficient(state, k + 1.0) ** 2 for state in space.basis])
+    fk = np.array([coefficient(state, k) ** 2 for state in space.occ.tolist()])
+    fk1 = np.array([coefficient(state, k + 1.0) ** 2 for state in space.occ.tolist()])
+    # num = sum_a mu_a x_a F_N(K+1; x): x_a shifts each coefficient up along mode a
+    inner = space.deg < cutoff
     num = np.zeros(space.dim)
-    for j, state in enumerate(space.basis):
-        if sum(state) >= cutoff:
-            continue
-        for a in range(hp.n):
-            child = list(state)
-            child[a] += 1
-            num[space.index[tuple(child)]] += mu[a] * fk1[j]
-    exponent = -step * ((1.0 / k) * _series_div(num, fk, pairs))
+    for a in range(hp.n):
+        child = space.occ[inner]
+        child[:, a] += 1
+        num[space.rank(child)] += mu[a] * fk1[inner]
+    exponent = -step * ((1.0 / k) * _series_div(num, fk, table, space.deg))
     exponent[0] = exponent[0] - step * k * hp.c[-1]
-    w = _series_mul(fk, _series_exp(exponent, space, pairs), pairs)
+    w = _series_mul(fk, _series_exp(exponent, table, space.deg), table)
     return w / fk
 
 

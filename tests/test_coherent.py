@@ -49,7 +49,7 @@ def test_coefficient_one_step_relation(state, a, k):
 def test_recursion_matches_closed_form(n, k, cutoff):
     space = fock.rep_space(n, k, cutoff)
     by_recursion = coherent.coefficients_by_recursion(space)
-    closed = np.array([coherent.coefficient(state, k) for state in space.basis])
+    closed = np.array([coherent.coefficient(state, k) for state in space.occ])
     assert np.max(np.abs(by_recursion - closed)) <= 1e-13 * np.max(closed)
 
 
@@ -138,7 +138,7 @@ def test_state_vector_layout():
     z = np.array([0.5, -0.25 + 0.1j])
     vec = coherent.state_vector(z, space)
     assert vec[0] == 1.0
-    i = space.index[(1, 1)]
+    i = space.rank((1, 1))
     expected = coherent.coefficient((1, 1), 2.0) * z[0] * z[1]
     assert vec[i] == pytest.approx(expected, rel=1e-14)
 

@@ -15,17 +15,33 @@ from bgcs import fock
 def test_rep_space_layout():
     space = fock.rep_space(2, 1.0, 2)
     assert space.dim == 6
-    assert space.basis == ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))
-    assert [space.degree(i) for i in range(6)] == [0, 1, 1, 2, 2, 2]
-    assert space.index[(1, 1)] == 4
+    assert space.occ.tolist() == [[0, 0], [0, 1], [1, 0], [0, 2], [1, 1], [2, 0]]
+    assert space.deg.tolist() == [0, 1, 1, 2, 2, 2]
+    assert space.rank((1, 1)) == 4
 
 
 @given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=6))
 def test_rep_space_dimension(n, cutoff):
     space = fock.rep_space(n, 2.0, cutoff)
     assert space.dim == math.comb(cutoff + n, n)
-    degrees = [space.degree(i) for i in range(space.dim)]
+    degrees = space.deg.tolist()
     assert degrees == sorted(degrees)
+
+
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=8),
+       st.data())
+def test_rank_inverts_layout(n, cutoff, data):
+    space = fock.rep_space(n, 1.0, cutoff)
+    assert np.array_equal(space.rank(space.occ), np.arange(space.dim))
+    row = list(space.occ[data.draw(st.integers(0, space.dim - 1))])
+    a = data.draw(st.integers(0, n - 1))
+    negative = row.copy()
+    negative[a] = -1
+    above = row.copy()
+    above[a] += cutoff + 1 - sum(row)
+    for outside in (negative, above):
+        with pytest.raises(ValueError):
+            space.rank(outside)
 
 
 def test_rep_space_domain():
@@ -43,7 +59,7 @@ def test_generator_amplitudes_by_hand():
     space = fock.rep_space(2, k, 3)
 
     def entry(mat, target, source):
-        return mat[space.index[target], space.index[source]]
+        return mat[space.rank(target), space.rank(source)]
 
     # ladder within the first N modes: E_{21}|2,0> = sqrt(2*1)|1,1>
     e21 = fock.generator_matrix(space, 2, 1)
@@ -63,17 +79,16 @@ def test_generator_amplitudes_by_hand():
 
 def test_raising_annihilates_at_cutoff():
     space = fock.rep_space(2, 1.5, 3)
-    raising = fock.generator_matrix(space, 1, 3).toarray()
-    for i, state in enumerate(space.basis):
-        if sum(state) == space.cutoff:
-            assert np.all(raising[:, i] == 0.0)
+    raising = fock.generator_matrix(space, 1, 3)
+    for i in np.flatnonzero(space.deg == space.cutoff):
+        assert np.all(raising[:, i] == 0.0)
 
 
 def test_small_k_lowering_stays_real():
     """For 0 < K < 1 the degree-zero lowering coefficient is skipped, so no
     sqrt of a negative number ever forms."""
     space = fock.rep_space(1, 0.25, 4)
-    lowering = fock.generator_matrix(space, 2, 1).toarray()
+    lowering = fock.generator_matrix(space, 2, 1)
     assert np.all(np.isfinite(lowering))
     # first nonzero amplitude: E_{21}|1> = sqrt(1 * (K - 1 + 1))|0>
     assert lowering[0, 1] == pytest.approx(math.sqrt(0.25))
@@ -114,15 +129,29 @@ def test_triplet_dump_roundtrip():
     text = buf.getvalue()
     # format: one "row col re im" line per stored entry
     lines = text.strip().splitlines()
-    assert len(lines) == op.nnz
+    assert len(lines) == np.count_nonzero(op)
     assert all(len(line.split()) == 4 for line in lines)
     back = fock.load_triplets(io.StringIO(text), op.shape)
-    assert np.max(np.abs((back - op).toarray())) == 0.0
+    assert np.max(np.abs(back - op)) == 0.0
 
 
 def test_triplet_roundtrip_complex():
-    mat = fock.SparseOperator(np.array([[0.0, 1.0 - 2.0j], [3.5j, 0.0]]))
+    mat = np.array([[0.0, 1.0 - 2.0j], [3.5j, 0.0]])
     buf = io.StringIO()
     fock.dump_triplets(mat, buf)
     back = fock.load_triplets(io.StringIO(buf.getvalue()), (2, 2))
-    assert np.max(np.abs((back - mat).toarray())) == 0.0
+    assert np.max(np.abs(back - mat)) == 0.0
+
+
+def test_triplet_dump_golden_bytes():
+    """The dump of E_{1,3} on the N=2, K=0.75, cutoff-3 space, byte for byte."""
+    buf = io.StringIO()
+    fock.dump_triplets(fock.generator_matrix(fock.rep_space(2, 0.75, 3), 1, 3), buf)
+    assert buf.getvalue() == (
+        "2 0 0.8660254037844386 0.0\n"
+        "4 1 1.3228756555322954 0.0\n"
+        "5 2 1.8708286933869707 0.0\n"
+        "7 3 1.6583123951777 0.0\n"
+        "8 4 2.345207879911715 0.0\n"
+        "9 5 2.8722813232690143 0.0\n"
+    )

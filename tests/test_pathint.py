@@ -167,6 +167,14 @@ def test_transfer_linear_closed_form():
     assert lam == pytest.approx(expected, rel=1e-15)
 
 
+def test_transfer_linear_builds_no_conv_table():
+    before = pathint._conv_table.cache_info()
+    pathint.transfer_eigenvalues(pathint.HamiltonianParams.from_mu([1.0, 2.0]), 1.5, 9, 0.05,
+                                 "linear")
+    after = pathint._conv_table.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
 def test_transfer_exp_frozen_eigenvalues():
     hp = pathint.HamiltonianParams.from_mu([1.0])
     lam = pathint.transfer_eigenvalues(hp, 1.0, 4, 1.0 / 64.0, "exp")
@@ -183,8 +191,8 @@ def test_transfer_exp_equal_couplings_reduce_to_one_mode():
     two = pathint.transfer_eigenvalues(
         pathint.HamiltonianParams.from_mu([0.7, 0.7]), k, 3, step, "exp")
     space = fock.rep_space(2, k, 3)
-    for i, state in enumerate(space.basis):
-        assert two[i] == pytest.approx(one[sum(state)], rel=1e-12)
+    for i, degree in enumerate(space.deg):
+        assert two[i] == pytest.approx(one[degree], rel=1e-12)
 
 
 def test_transfer_exp_first_order_matches_linear():
