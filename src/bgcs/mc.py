@@ -1,20 +1,22 @@
 """Deterministic Monte Carlo plumbing shared by the measure and trace code.
 
-Every stochastic routine takes (seed, workers) and derives one RNG stream
-per worker with SeedSequence.spawn, worker index = stream index.  Workers
-are processed in index order and reduce by summation, so a result depends
-only on (seed, workers), never on scheduling, and reports serialize to
-identical bytes across runs.
+Every stochastic routine takes (seed, workers) and samples through
+`draws`: one RNG stream per worker from SeedSequence.spawn, worker index =
+stream index, each worker's share drawn in chunks.  Workers are processed
+in index order and reduce by summation, so a result depends only on
+(seed, workers), never on scheduling, and reports serialize to identical
+bytes across runs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_SEED = 20260823
+CHUNK = 200_000  # samples drawn at once, bounding the memory of a chunk
 
 
 def spawn_rngs(seed, workers):
@@ -31,6 +33,16 @@ def split_count(total, workers):
         raise ValueError(f"need integer sample count >= 1, got {total!r}")
     base, rem = divmod(int(total), int(workers))
     return [base + (1 if i < rem else 0) for i in range(int(workers))]
+
+
+def draws(seed, workers, total, cap):
+    """(rng, count) pairs in worker order: each worker's share of `total`
+    in pieces of at most `cap`, from that worker's stream."""
+    for rng, share in zip(spawn_rngs(seed, workers), split_count(total, workers)):
+        while share > 0:
+            count = min(cap, share)
+            yield rng, count
+            share -= count
 
 
 @dataclass

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import coherent, fock, mc
 from .quadrature import de_halfline, power_integral_01, tanh_sinh
-from .specfun import bessel_k, gamma, log_gamma
+from .specfun import _bessel_k_vec, bessel_k, gamma, log_gamma
 
 QUAD_TOL = 1e-11
 
@@ -66,10 +66,6 @@ class MeasureModel:
             raise ValueError(f"need integer n >= 1, got {self.n!r}")
         if not (float(self.k) > 0.0 and math.isfinite(float(self.k))):
             raise ValueError(f"need k > 0, got {self.k!r}")
-
-
-def _kbessel_vec(nu, x):
-    return np.array([bessel_k(nu, xi) for xi in np.atleast_1d(x)])
 
 
 def density(model, r):
@@ -104,7 +100,7 @@ def total_radius_density(model, big_r):
         raise ValueError("need R > 0")
     nu = model.k - model.n
     log_norm = math.log(2.0) - log_gamma(model.k) - log_gamma(model.n)
-    vals = _kbessel_vec(nu, 2.0 * np.sqrt(big_r))
+    vals = _bessel_k_vec(nu, 2.0 * np.sqrt(big_r))
     return np.exp(log_norm + (0.5 * (model.k + model.n) - 1.0) * np.log(big_r)) * vals
 
 
@@ -147,7 +143,7 @@ def _halfline_bessel_factor(c, nu, tol):
         raise ValueError(f"half-line factor needs c > |nu|/2, got c={c}, nu={nu}")
 
     def f(x):
-        return x ** (c - 1.0) * _kbessel_vec(nu, 2.0 * np.sqrt(x))
+        return x ** (c - 1.0) * _bessel_k_vec(nu, 2.0 * np.sqrt(x))
 
     value, _ = de_halfline(f, c_eff, ("sqrt", 2.0), tol=tol, growth=c - 1.25)
     return value
@@ -224,7 +220,7 @@ def verify_formula_b(mu, nu, a, tol=QUAD_TOL):
         raise ValueError(f"need mu > |nu| for convergence, got mu={mu}, nu={nu}")
 
     def f(x):
-        return x ** (mu - 1.0) * _kbessel_vec(nu, a * x)
+        return x ** (mu - 1.0) * _bessel_k_vec(nu, a * x)
 
     lhs, _ = de_halfline(f, mu - abs(nu), ("lin", a), tol=tol, growth=mu - 1.5)
     rhs = math.exp(
@@ -268,9 +264,7 @@ def draw_labels(model, count, rng):
 def sample(model, count, seed=mc.DEFAULT_SEED, workers=1):
     """Labels from dmu, deterministic for fixed (seed, workers)."""
     parts_r, parts_t = [], []
-    for rng, part in zip(mc.spawn_rngs(seed, workers), mc.split_count(count, workers)):
-        if part == 0:
-            continue
+    for rng, part in mc.draws(seed, workers, count, cap=count):
         r, theta = draw_labels(model, part, rng)
         parts_r.append(r)
         parts_t.append(theta)
@@ -311,10 +305,7 @@ def sampler_report(model, count, seed=mc.DEFAULT_SEED, workers=1, fourier_modes=
     probe_cdf = [radial_cdf(model, q) for q in probes]
     below = np.zeros(len(probes), dtype=np.int64)
 
-    total = 0
-    for rng, part in zip(mc.spawn_rngs(seed, workers), mc.split_count(count, workers)):
-        if part == 0:
-            continue
+    for rng, part in mc.draws(seed, workers, count, cap=count):
         r, theta = draw_labels(model, part, rng)
         for a in range(model.n):
             stats[f"r[{a}]"][0].add(r[:, a])
@@ -327,7 +318,6 @@ def sampler_report(model, count, seed=mc.DEFAULT_SEED, workers=1, fourier_modes=
         big_r = np.sum(r, axis=1)
         for j, q in enumerate(probes):
             below[j] += int(np.count_nonzero(big_r <= q))
-        total += part
 
     rows = []
     for name, (acc, expected) in stats.items():
@@ -345,8 +335,8 @@ def sampler_report(model, count, seed=mc.DEFAULT_SEED, workers=1, fourier_modes=
         )
     for j, q in enumerate(probes):
         p = probe_cdf[j]
-        p_hat = below[j] / total
-        sem = math.sqrt(p * (1.0 - p) / total)
+        p_hat = below[j] / count
+        sem = math.sqrt(p * (1.0 - p) / count)
         rows.append(
             {
                 "quantity": f"cdf(R<={q:.6g})",
@@ -435,19 +425,14 @@ def resolution_check(model, cutoff, mode="quadrature", budget=10**5,
 
     dim = space.dim
     gram = np.zeros((dim, dim), dtype=complex)
-    total = 0
-    chunk_cap = 200_000
-    for rng, part in zip(mc.spawn_rngs(seed, workers), mc.split_count(budget, workers)):
-        done = 0
-        while done < part:
-            chunk = min(chunk_cap, part - done)
-            r, theta = draw_labels(model, chunk, rng)
-            z = np.sqrt(r) * np.exp(1j * theta)
-            m = _basis_monomials(space, z)
+    width = max(1, mc.CHUNK // dim)  # samples per monomial block of <= CHUNK entries
+    for rng, chunk in mc.draws(seed, workers, budget, cap=mc.CHUNK):
+        r, theta = draw_labels(model, chunk, rng)
+        z = np.sqrt(r) * np.exp(1j * theta)
+        for start in range(0, chunk, width):
+            m = _basis_monomials(space, z[start:start + width])
             gram += m @ m.conj().T
-            total += chunk
-            done += chunk
-    gram /= total
+    gram /= budget
 
     # analytic per-entry variance: E|g|^2 = C_m^2 C_n^2 prod (m_a+n_a)! *
     # Gamma(K + |m|+|n|) / Gamma(K), minus |delta_mn|^2
@@ -461,7 +446,7 @@ def resolution_check(model, cutoff, mode="quadrature", budget=10**5,
               + log_gamma_kd[deg[:, None], deg[None, :]] - log_gamma(k))
     var = np.maximum(np.exp(log_c2 + log_m2) - np.eye(dim), 1e-300)
     dev = np.abs(gram - np.eye(dim))
-    zsc = dev / np.sqrt(var / total)
+    zsc = dev / np.sqrt(var / budget)
     return ResolutionResult(
         "montecarlo",
         {"n": model.n, "k": model.k, "cutoff": cutoff, "budget": int(budget),

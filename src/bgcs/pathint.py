@@ -67,7 +67,7 @@ import numpy as np
 from . import fock, mc, measure
 from .coherent import _f_series_vec, coefficient, f_series
 from .quadrature import de_halfline, gauss_legendre_01
-from .specfun import bessel_i, bessel_k, gamma, log_gamma
+from .specfun import _bessel_k_vec, bessel_i, gamma
 
 VARIANCE_SAFE_LOG = math.log(4.0)  # kernel-trace MC: finite variance needs beta*mu > ln 4
 
@@ -192,10 +192,7 @@ def h_operator(hp, k, space):
 
 def energies(hp, k, space):
     """Spectrum of H on the truncated basis, in basis order."""
-    # one np.dot per row: a matrix-vector product rounds some levels
-    # differently, which would move trace values in their last bits
-    mu = hp.mu
-    return k * hp.c[-1] + np.array([np.dot(mu, state) for state in space.occ])
+    return k * hp.c[-1] + space.occ @ hp.mu
 
 
 def exact_spectral_trace(hp, k, beta, cutoff=None):
@@ -257,8 +254,7 @@ def _kernel_quadrature(hp, k, beta, tol):
     power = 0.5 * (k + n) - 1.0
 
     def f(x):
-        kb = np.array([bessel_k(k - n, 2.0 * math.sqrt(xi)) for xi in x])
-        radial = norm * x**power * kb
+        radial = norm * x**power * _bessel_k_vec(k - n, 2.0 * np.sqrt(x))
         series = _f_series_vec(k, np.outer(x, g))
         return radial * (series @ grid_w)
 
@@ -295,14 +291,9 @@ def exact_kernel_trace(hp, k, beta, mode="quadrature", budget=10**6,
     model = measure.MeasureModel(hp.n, k)
     t = np.exp(-beta * hp.mu)
     acc = mc.RunningMoments()
-    chunk_cap = 200_000
-    for rng, part in zip(mc.spawn_rngs(seed, workers), mc.split_count(budget, workers)):
-        done = 0
-        while done < part:
-            chunk = min(chunk_cap, part - done)
-            r, _ = measure.draw_labels(model, chunk, rng)
-            acc.add(_f_series_vec(k, r @ t))
-            done += chunk
+    for rng, chunk in mc.draws(seed, workers, budget, cap=mc.CHUNK):
+        r, _ = measure.draw_labels(model, chunk, rng)
+        acc.add(_f_series_vec(k, r @ t))
     params.update(budget=int(budget), seed=int(seed), workers=int(workers),
                   variance_warning=bool(beta * float(np.min(hp.mu)) <= VARIANCE_SAFE_LOG),
                   max_fraction=acc.max_fraction)
@@ -444,29 +435,24 @@ def sliced_trace(hp, k, config):
     m_slices = config.slices
     acc = mc.RunningMoments()
     nonfinite = 0
-    chunk_cap = max(1, 200_000 // m_slices)
-    for rng, part in zip(mc.spawn_rngs(config.seed, config.workers),
-                         mc.split_count(config.budget, config.workers)):
-        done = 0
-        while done < part:
-            chunk = min(chunk_cap, part - done)
-            r, theta = measure.draw_labels(model, chunk * m_slices, rng)
-            z = (np.sqrt(r) * np.exp(1j * theta)).reshape(chunk, m_slices, hp.n)
-            x = np.conj(z) * np.roll(z, 1, axis=1)  # slice j against slice j-1
-            s = np.sum(x, axis=2)
-            # Near zeros of the overlap series the exponent ratio blows up
-            # with either sign (the essential singularities described in the
-            # module docstring); keep those spikes out of the accumulator but
-            # count them, and let max_fraction expose finite near-spikes.
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                fk = _f_series_vec(k, s)
-                fk1 = _f_series_vec(k + 1.0, s)
-                h_ratio = k * hp.c[-1] + (1.0 / k) * (x @ mu) * fk1 / fk
-                prod = np.prod(fk * np.exp(-step * h_ratio), axis=1)
-            good = np.isfinite(prod)
-            nonfinite += int(prod.size - np.count_nonzero(good))
-            acc.add(prod[good])
-            done += chunk
+    for rng, chunk in mc.draws(config.seed, config.workers, config.budget,
+                               cap=max(1, mc.CHUNK // m_slices)):
+        r, theta = measure.draw_labels(model, chunk * m_slices, rng)
+        z = (np.sqrt(r) * np.exp(1j * theta)).reshape(chunk, m_slices, hp.n)
+        x = np.conj(z) * np.roll(z, 1, axis=1)  # slice j against slice j-1
+        s = np.sum(x, axis=2)
+        # Near zeros of the overlap series the exponent ratio blows up
+        # with either sign (the essential singularities described in the
+        # module docstring); keep those spikes out of the accumulator but
+        # count them, and let max_fraction expose finite near-spikes.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            fk = _f_series_vec(k, s)
+            fk1 = _f_series_vec(k + 1.0, s)
+            h_ratio = k * hp.c[-1] + (1.0 / k) * (x @ mu) * fk1 / fk
+            prod = np.prod(fk * np.exp(-step * h_ratio), axis=1)
+        good = np.isfinite(prod)
+        nonfinite += int(prod.size - np.count_nonzero(good))
+        acc.add(prod[good])
     # Finite variance requires staying off the singular set (M = 1, where the
     # loop argument is the positive diagonal) with horizon * mu beating the
     # overlap growth; everything else gets a standing warning.

@@ -1,5 +1,8 @@
-"""Quadrature building blocks: Gauss-Legendre tables, tanh-sinh rules, and
-a double-exponential transform for half-line integrals.
+"""Quadrature building blocks: the trapezoid refiner, Gauss-Legendre tables,
+tanh-sinh rules, and a double-exponential transform for half-line integrals.
+
+The bottom layer: it imports nothing from bgcs, defines ConvergenceError,
+and its _refine_trapezoid also evaluates specfun's Bessel-K integral.
 
 All routines expect vectorized integrands (numpy array in, array out) and
 refine a trapezoid grid by halving until two consecutive passes agree to
@@ -21,10 +24,12 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .specfun import ConvergenceError
-
 _REFINE_LEVELS = 8
 _LOG_FLOOR = -690.0  # keep exp() comfortably inside double range
+
+
+class ConvergenceError(RuntimeError):
+    """A series or quadrature failed to reach its tolerance within budget."""
 
 
 @lru_cache(maxsize=8)
@@ -34,11 +39,13 @@ def gauss_legendre_01(n=64):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _refine_trapezoid(g, lo, hi, tol, n0=128):
+def _refine_trapezoid(g, lo, hi, tol, n0=128, stall_tol=None):
     """Trapezoid value of a vectorized g on [lo, hi], refined by halving.
 
     Endpoint values are assumed negligible (the callers build windows on
     which the integrand has already dropped by ~e^-45 from its peak).
+    Returns (value, last change, evaluations).  With stall_tol, a last
+    change within stall_tol * |value| after the final level is accepted.
     """
     h = (hi - lo) / n0
     t = lo + h * np.arange(n0 + 1)
@@ -59,6 +66,8 @@ def _refine_trapezoid(g, lo, hi, tol, n0=128):
             converged = 0
         if converged >= 2:
             return total, change, evals
+    if stall_tol is not None and change <= stall_tol * max(abs(total), 1e-300):
+        return total, change, evals
     raise ConvergenceError(
         f"trapezoid refinement stalled on [{lo}, {hi}] (last change {change:.3e})"
     )
@@ -111,14 +120,15 @@ def power_integral_01(p, q, tol=1e-12, n_gl=64):
     T = math.asinh(55.0 / (math.pi * min(p + 1.0, q + 1.0, 1.0)))
 
     def g(t):
+        # x^p (1-x)^q pi cosh(t) x (1-x) in log space: x = sigma(t) underflows
+        # in the tails, where p or q near -1 would meet inf * 0
         u = math.pi * np.sinh(t)
-        sig = 1.0 / (1.0 + np.exp(-u))
-        omsig = 1.0 / (1.0 + np.exp(u))
-        log_vals = p * np.log(sig) + q * np.log(omsig)
-        jac = math.pi * np.cosh(t) * sig * omsig
+        log_x = -np.logaddexp(0.0, -u)
+        log_1mx = -np.logaddexp(0.0, u)
+        log_vals = (p + 1.0) * log_x + (q + 1.0) * log_1mx + np.log(math.pi * np.cosh(t))
         out = np.zeros_like(t)
         ok = log_vals > _LOG_FLOOR
-        out[ok] = np.exp(log_vals[ok]) * jac[ok]
+        out[ok] = np.exp(log_vals[ok])
         return out
 
     value, _, _ = _refine_trapezoid(g, -T, T, tol, n0=64)

@@ -2,9 +2,14 @@
 documented example invocations."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bgcs
 from bgcs import cli, coherent
 from bgcs.mc import DEFAULT_SEED
 
@@ -148,3 +153,14 @@ def test_help_lists_parameters(capsys):
     out = capsys.readouterr().out
     for flag in ("--seed", "--workers", "--budget", "--weights", "--cutoff"):
         assert flag in out
+
+
+def test_import_loads_no_scipy():
+    """scipy is a test-only dependency: importing the package and the CLI
+    in a fresh interpreter must not load it, or every command starts slower."""
+    code = ("import sys, bgcs, bgcs.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(bgcs.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "[]"

@@ -10,7 +10,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgcs import measure
+from bgcs import mc, measure
 
 HALF_PI_ROOT2 = 2.2214414690791831  # (1/4) 2 Gamma(3/4) Gamma(1/4) = pi/sqrt(2) * ...
 
@@ -238,6 +238,23 @@ def test_resolution_montecarlo():
     res = measure.resolution_check(model, 4, mode="montecarlo", budget=100_000, seed=42)
     assert res.max_z <= 4.0
     assert res.as_dict()["z_score"] == res.max_z
+
+
+def test_resolution_montecarlo_bounds_monomial_blocks(monkeypatch):
+    """The Gram matrix is built from monomial blocks of at most mc.CHUNK
+    entries, whatever the dimension (84 here) and the sample budget."""
+    sizes = []
+    build = measure._basis_monomials
+
+    def spy(space, z):
+        m = build(space, z)
+        sizes.append(m.size)
+        return m
+
+    monkeypatch.setattr(measure, "_basis_monomials", spy)
+    measure.resolution_check(measure.MeasureModel(3, 2.5), 6, mode="montecarlo", budget=5000)
+    assert sum(sizes) == 84 * 5000
+    assert max(sizes) <= mc.CHUNK
 
 
 def test_resolution_unknown_mode():

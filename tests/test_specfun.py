@@ -8,7 +8,8 @@ import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bgcs import specfun
+import bgcs
+from bgcs import quadrature, specfun
 
 # frozen via tests/oracles.py (mpmath ascending series / cosh-integral, 50 digits)
 I_1_AT_2 = 1.5906368546373290634
@@ -16,6 +17,7 @@ I_0_AT_2 = 2.2795853023360672674
 I_HALF_AT_1 = 0.93767488824548764672
 K_0_AT_1 = 0.42102443824070833334
 K_HALF_AT_1 = 0.46106850444789455844
+K_32_9_AT_0_57 = 7.9894505735603156371e52
 
 
 def test_gamma_spot_values():
@@ -124,6 +126,26 @@ def test_bessel_wronskian(nu, x):
 def test_bessel_against_scipy(nu, x):
     assert specfun.bessel_i(nu, x) == pytest.approx(scipy.special.iv(nu, x), rel=1e-12)
     assert specfun.bessel_k(nu, x) == pytest.approx(scipy.special.kv(nu, x), rel=1e-12)
+
+
+def test_bessel_k_accepts_stalled_last_level(monkeypatch):
+    """At large order and small argument the refinement stalls near 1e-12
+    relative: bessel_k accepts that last level, the bare refiner raises."""
+    assert specfun.bessel_k(32.9, 0.57) == pytest.approx(K_32_9_AT_0_57, rel=1e-12)
+    refine = quadrature._refine_trapezoid
+    monkeypatch.setattr(specfun, "_refine_trapezoid",
+                        lambda g, lo, hi, tol, n0, stall_tol: refine(g, lo, hi, tol, n0=n0))
+    with pytest.raises(specfun.ConvergenceError,
+                       match=r"^bessel_k\(32\.9, 0\.57\) quadrature did not converge$"):
+        specfun.bessel_k(32.9, 0.57)
+
+
+def test_bessel_k_convergence_error_text():
+    assert bgcs.ConvergenceError is specfun.ConvergenceError is quadrature.ConvergenceError
+    with pytest.raises(specfun.ConvergenceError) as info:
+        specfun.bessel_k(-1.4038079065171498, 3.612024814854264e-251)
+    assert str(info.value) == (
+        "bessel_k(-1.4038079065171498, 3.612024814854264e-251) quadrature did not converge")
 
 
 def test_bessel_domain_errors():
