@@ -37,25 +37,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _complex_list(text):
-    try:
-        return np.array([complex(tok.strip()) for tok in text.split(",")])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+def _list_parser(kind, noun):
+    """argparse type for a comma-separated list of `kind` values."""
+
+    def parse(text):
+        try:
+            return [kind(tok.strip()) for tok in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}")
+
+    return parse
 
 
-def _float_list(text):
-    try:
-        return [float(tok.strip()) for tok in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}")
-
-
-def _int_list(text):
-    try:
-        return [int(tok.strip()) for tok in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+_complex_list = _list_parser(complex, "numbers")
+_float_list = _list_parser(float, "reals")
+_int_list = _list_parser(int, "integers")
 
 
 def _add_output(p):
@@ -125,8 +121,7 @@ def _emit(report, args):
 
 
 def _cmd_eval_f(args):
-    value = coherent.f_series(args.k, args.w)
-    value = complex(value)
+    value = complex(coherent.f_series(args.k, args.w))
     report = {
         "check": "eval_f",
         "params": {"k": args.k, "w_re": [v.real for v in args.w],
@@ -138,8 +133,8 @@ def _cmd_eval_f(args):
 
 
 def _cmd_inner(args):
-    if args.z.shape != args.zp.shape:
-        raise ValueError(f"labels differ in length: {args.z.size} vs {args.zp.size}")
+    if len(args.z) != len(args.zp):
+        raise ValueError(f"labels differ in length: {len(args.z)} vs {len(args.zp)}")
     value = complex(coherent.inner_product(args.z, args.zp, args.k))
     report = {
         "check": "inner_product",
@@ -287,7 +282,8 @@ def build_parser():
     p = sub.add_parser("formula-a", help="N-dimensional Bessel moment integral vs closed form")
     p.add_argument("--n", type=int, required=True, help="number of oscillator modes")
     p.add_argument("--k", type=float, required=True, help="Bargmann index K > 0")
-    p.add_argument("--s", type=_float_list, required=True, help="real exponents > -1, e.g. 0.5,2")
+    p.add_argument("--s", type=_float_list, required=True,
+                   help="real exponents > -1 with sum(s) + min(K, N) > 0, e.g. 0.5,2")
     p.add_argument("--tol", type=float, default=1e-8, help="relative tolerance (default %(default)g)")
     _add_output(p)
     p.set_defaults(handler=_cmd_formula_a)

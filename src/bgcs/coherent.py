@@ -27,6 +27,9 @@ collapses each shell exactly:
 so F_N(K; w) is the one-variable confluent limit series evaluated at
 s = sum(w), and each shell is a single term Gamma(K) s^d / (d! Gamma(K+d)).
 For N = 1 this gives F_1(K; x) = Gamma(K) x^((1-K)/2) I_{K-1}(2 sqrt x).
+f_series (one label product w) and _f_series_vec (an array of summed
+arguments) run that recurrence in one kernel, _shell_sum, so they agree
+bit for bit at the same s.
 """
 
 from __future__ import annotations
@@ -102,14 +105,33 @@ def eigen_residual(z, space, alpha):
     return float(np.linalg.norm(resid[interior])) / denom
 
 
-def f_series(k, w, tol=SHELL_TOL, max_shells=MAX_SHELLS):
-    """Value of F_N(K; w) summed by total-degree shells.
+def _shell_sum(k, s, tol, max_shells):
+    """F(K; s) on an array s by shells, shell_d = shell_{d-1} s / (d (K+d-1)),
+    until every lane has had two consecutive shells below `tol` relative to
+    its partial sum (two, because a complex s can make one shell pass near
+    zero).  OverflowError if any lane leaves double range, else
+    ConvergenceError at `max_shells`."""
+    shell = np.ones_like(s)
+    total = shell.copy()
+    small = np.zeros(s.shape, dtype=int)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite lanes raise below
+        for d in range(1, max_shells + 1):
+            shell = shell * s / (d * (k + d - 1.0))
+            total = total + shell
+            below = np.abs(shell) <= tol * np.maximum(np.abs(total), 1e-300)
+            small = np.where(below, small + 1, 0)
+            if np.all(small >= 2):
+                break
+    if not np.all(np.isfinite(total)):
+        raise OverflowError(f"F series (k={k}) exceeds double range")
+    if not np.all(small >= 2):
+        raise ConvergenceError(f"F series did not converge within {max_shells} shells")
+    return total
 
-    Stops when two consecutive shell contributions fall below `tol`
-    relative to the partial sum (two, because a complex argument can make
-    a single shell pass near zero).  Raises ConvergenceError at
-    `max_shells`.
-    """
+
+def f_series(k, w, tol=SHELL_TOL, max_shells=MAX_SHELLS):
+    """Value of F_N(K; w): the shell sum at s = sum(w), a float when every
+    w_a is real."""
     k = float(k)
     if k <= 0.0:
         raise ValueError(f"need k > 0, got {k}")
@@ -118,47 +140,17 @@ def f_series(k, w, tol=SHELL_TOL, max_shells=MAX_SHELLS):
         raise ValueError("need at least one argument component")
     if not np.all(np.isfinite(w)):
         raise ValueError("argument components must be finite")
-    s = complex(np.sum(w))
-    shell = 1.0 + 0.0j  # degree-0 shell: Gamma(K) s^0 / (0! Gamma(K))
-    total = shell
-    small = 0
-    for d in range(1, max_shells + 1):
-        shell *= s / (d * (k + d - 1.0))
-        total += shell
-        if not (math.isfinite(total.real) and math.isfinite(total.imag)):
-            raise OverflowError(f"f_series(k={k}) exceeds double range at shell {d}")
-        if abs(shell) <= tol * max(abs(total), 1e-300):
-            small += 1
-            if small >= 2:
-                if np.all(w.imag == 0.0):
-                    return total.real
-                return total
-        else:
-            small = 0
-    raise ConvergenceError(f"f_series did not converge within {max_shells} shells")
+    s = np.sum(w)
+    if np.all(w.imag == 0.0):
+        return float(_shell_sum(k, np.array([s.real]), tol, max_shells)[0])
+    return complex(_shell_sum(k, np.array([s]), tol, max_shells)[0])
 
 
 def _f_series_vec(k, s, tol=SHELL_TOL, max_shells=MAX_SHELLS):
-    """Vectorized F over an array of (already summed) arguments s.
-
-    Same shell recurrence as f_series, advanced until every lane has had
-    two consecutive sub-tolerance shells.  Hot path for the Monte Carlo
-    and quadrature trace evaluations.
-    """
+    """F over an array of (already summed) arguments s; the hot path of the
+    Monte Carlo and quadrature trace evaluations."""
     s = np.asarray(s, dtype=complex if np.iscomplexobj(s) else float)
-    shell = np.ones_like(s)
-    total = shell.copy()
-    small = np.zeros(s.shape, dtype=int)
-    for d in range(1, max_shells + 1):
-        shell = shell * s / (d * (k + d - 1.0))
-        total = total + shell
-        below = np.abs(shell) <= tol * np.maximum(np.abs(total), 1e-300)
-        small = np.where(below, small + 1, 0)
-        if np.all(small >= 2):
-            if not np.all(np.isfinite(total)):
-                raise OverflowError("vectorized F series exceeded double range")
-            return total
-    raise ConvergenceError(f"vectorized F series did not converge within {max_shells} shells")
+    return _shell_sum(k, s, tol, max_shells)
 
 
 def inner_product(z, zp, k, tol=SHELL_TOL):

@@ -105,17 +105,19 @@ def total_radius_density(model, big_r):
 
 
 def radial_cdf(model, q, tol=QUAD_TOL):
-    """P(R <= q) under dmu, by tanh-sinh integration of the R density."""
+    """P(R <= q) under dmu, by tanh-sinh integration of the R density.
+
+    The nodes stop near R = 5e-324 and leave out P(R < 5e-324) ~
+    e^(-744 min(K, N)), which exceeds the tolerance below min(K, N) = 0.05.
+    """
     q = float(q)
     if q <= 0.0:
         raise ValueError(f"need q > 0, got {q}")
-    value, _ = tanh_sinh(
-        lambda x: total_radius_density(model, x),
-        0.0,
-        q,
-        tol=tol,
-        singular_strength=min(model.k, float(model.n)),
-    )
+    strength = min(model.k, float(model.n))
+    if strength < 0.05:
+        raise ValueError(f"radial_cdf needs min(K, N) >= 0.05, got K={model.k}")
+    value, _ = tanh_sinh(lambda x: total_radius_density(model, x), 0.0, q, tol=tol,
+                         singular_strength=strength)
     return float(value)
 
 
@@ -201,10 +203,12 @@ def verify_formula_a(n, k, s, scheme=SimplexQuadScheme()):
         raise ValueError(f"exponents must exceed -1, got {s.tolist()}")
     if not k > 0.0:
         raise ValueError(f"need K > 0, got {k}")
+    total = float(np.sum(s))
+    if not total + min(k, n) > 0.0:
+        raise ValueError(f"need sum(s) + min(K, N) > 0 for convergence, "
+                         f"got sum(s)={total!r}, K={k}, N={n}")
     lhs = _bessel_moment_lhs(n, k, s, scheme)
-    rhs = math.exp(
-        sum(log_gamma(v + 1.0) for v in s) + log_gamma(k + float(np.sum(s)))
-    )
+    rhs = math.exp(sum(log_gamma(v + 1.0) for v in s) + log_gamma(k + total))
     return CheckResult(
         "formula_a", {"n": int(n), "k": float(k), "s": s.tolist()}, float(lhs), rhs
     )

@@ -8,6 +8,11 @@ All routines expect vectorized integrands (numpy array in, array out) and
 refine a trapezoid grid by halving until two consecutive passes agree to
 the requested tolerance, reusing previously computed nodes.
 
+One tanh-sinh map, _tanh_sinh, serves both interval rules.  It hands its
+integrand log x and log(1 - x) rather than x, so the far nodes neither
+overflow nor round onto an endpoint: power_integral_01 stays in log space,
+and tanh_sinh skips the nodes whose x rounds onto a or b.
+
 The half-line transform is x = exp(t - e^{-t}).  Toward t -> -infinity the
 node x approaches zero doubly exponentially, so an integrand behaving like
 x^(c-1) near the origin contributes exp(-c e^{-t}); toward t -> +infinity
@@ -73,31 +78,43 @@ def _refine_trapezoid(g, lo, hi, tol, n0=128, stall_tol=None):
     )
 
 
-def tanh_sinh(f, a, b, tol=1e-12, singular_strength=1.0):
-    """Integrate f over the finite interval (a, b) by tanh-sinh quadrature.
+def _tanh_sinh(g, strength, tol):
+    """int_0^1 by trapezoid refinement under x = 1/(1 + exp(-pi sinh t)),
+    for endpoint singularities x^(s-1), (1-x)^(s-1) with s >= `strength`.
 
-    Endpoint singularities integrable as (x-a)^(s-1) with s >=
-    `singular_strength` are handled; f is never evaluated at a or b.
+    g(log_x, log_1mx, log_ch) returns the integrand times dx/dt = x (1-x)
+    exp(log_ch), given log x = -logaddexp(0, -pi sinh t), log(1-x) =
+    -logaddexp(0, pi sinh t) and log_ch = log(pi cosh t).  The endpoint gap
+    is ~exp(-pi sinh t), so the window reaches pi sinh T = 55/s.
     """
+    T = math.asinh(55.0 / (math.pi * min(strength, 1.0)))
+
+    def mapped(t):
+        u = math.pi * np.sinh(t)
+        return g(-np.logaddexp(0.0, -u), -np.logaddexp(0.0, u), np.log(math.pi * np.cosh(t)))
+
+    return _refine_trapezoid(mapped, -T, T, tol, n0=64)[:2]
+
+
+def tanh_sinh(f, a, b, tol=1e-12, singular_strength=1.0):
+    """Integrate f over (a, b) by tanh-sinh quadrature, for endpoint
+    singularities (x-a)^(s-1) with s >= `singular_strength`.  Nodes that
+    round onto a or b, or where dx/dt < exp(_LOG_FLOOR), count as zero."""
     if not b > a:
         raise ValueError(f"need b > a, got a={a}, b={b}")
-    s = max(min(singular_strength, 1.0), 0.05)
-    # sigma(t) = 1/(1 + exp(-pi sinh t)) maps R -> (0,1); the endpoint gap
-    # is ~exp(-pi sinh t), so the window must reach pi sinh(T) ~ 55/s.
-    T = math.asinh(55.0 / (math.pi * s))
+    if not singular_strength > 0.0:
+        raise ValueError(f"need singular_strength > 0, got {singular_strength}")
     width = b - a
 
-    def g(t):
-        u = math.pi * np.sinh(t)
-        sig = 1.0 / (1.0 + np.exp(-u))
-        one_minus_sig = 1.0 / (1.0 + np.exp(u))
-        x = a + width * sig
-        # d sigma/dt = pi cosh(t) sigma (1 - sigma)
-        jac = width * math.pi * np.cosh(t) * sig * one_minus_sig
-        return f(x) * jac
+    def g(log_x, log_1mx, log_ch):
+        x = a + width * np.exp(log_x)
+        log_jac = math.log(width) + log_x + log_1mx + log_ch
+        out = np.zeros_like(x)
+        ok = (x > a) & (x < b) & (log_jac > _LOG_FLOOR)
+        out[ok] = f(x[ok]) * np.exp(log_jac[ok])
+        return out
 
-    value, err, _ = _refine_trapezoid(g, -T, T, tol, n0=64)
-    return value, err
+    return _tanh_sinh(g, singular_strength, tol)
 
 
 def power_integral_01(p, q, tol=1e-12, n_gl=64):
@@ -106,8 +123,8 @@ def power_integral_01(p, q, tol=1e-12, n_gl=64):
     Nonnegative integer exponents make the integrand a polynomial, which
     the 64-node Gauss-Legendre rule integrates exactly.  Fractional
     exponents have algebraic endpoint behavior where Gauss-Legendre only
-    converges polynomially, so those fall through to tanh-sinh on a grid
-    that never touches the endpoints.
+    converges polynomially, so those fall through to tanh-sinh in log space
+    (x underflows in the tails, where p or q near -1 would meet inf * 0).
     """
     if p <= -1.0 or q <= -1.0:
         raise ValueError(f"exponents must exceed -1, got p={p}, q={q}")
@@ -117,37 +134,26 @@ def power_integral_01(p, q, tol=1e-12, n_gl=64):
         x, w = gauss_legendre_01(n_gl)
         return float(np.sum(w * x**p * (1.0 - x) ** q))
 
-    T = math.asinh(55.0 / (math.pi * min(p + 1.0, q + 1.0, 1.0)))
-
-    def g(t):
-        # x^p (1-x)^q pi cosh(t) x (1-x) in log space: x = sigma(t) underflows
-        # in the tails, where p or q near -1 would meet inf * 0
-        u = math.pi * np.sinh(t)
-        log_x = -np.logaddexp(0.0, -u)
-        log_1mx = -np.logaddexp(0.0, u)
-        log_vals = (p + 1.0) * log_x + (q + 1.0) * log_1mx + np.log(math.pi * np.cosh(t))
-        out = np.zeros_like(t)
+    def g(log_x, log_1mx, log_ch):
+        log_vals = (p + 1.0) * log_x + (q + 1.0) * log_1mx + log_ch
+        out = np.zeros_like(log_vals)
         ok = log_vals > _LOG_FLOOR
         out[ok] = np.exp(log_vals[ok])
         return out
 
-    value, _, _ = _refine_trapezoid(g, -T, T, tol, n0=64)
+    value, _ = _tanh_sinh(g, min(p + 1.0, q + 1.0), tol)
     return float(value)
 
 
 def _solve_tail(decay_kind, b, growth, target):
     """Smallest x beyond which b*decay(x) - growth*log(x) exceeds target."""
-    if decay_kind == "sqrt":
-        u = target / b  # iterate sqrt(x) = (target + growth*log x)/b
-        for _ in range(60):
-            u = max((target + 2.0 * growth * math.log(max(u, 1.0))) / b, 1.0)
-        return u * u
-    if decay_kind == "lin":
-        x = target / b
-        for _ in range(60):
-            x = max((target + growth * math.log(max(x, 1.0))) / b, 1.0)
-        return x
-    raise ValueError(f"unknown decay kind {decay_kind!r}")
+    power = {"sqrt": 2, "lin": 1}.get(decay_kind)
+    if power is None:
+        raise ValueError(f"unknown decay kind {decay_kind!r}")
+    u = target / b  # iterate x^(1/power) = (target + growth*log x)/b
+    for _ in range(60):
+        u = max((target + power * growth * math.log(max(u, 1.0))) / b, 1.0)
+    return u * u if power == 2 else u
 
 
 def de_halfline(f, c_eff, decay, tol=1e-12, growth=0.0):

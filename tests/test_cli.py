@@ -67,6 +67,34 @@ def test_domain_error_exit_1(capsys):
     assert code == 1 and "--beta" in err
 
 
+def test_list_arguments_keep_their_messages(capsys):
+    cases = ((["eval-f", "--k", "1", "--w", "1,x"], "numbers", "'1,x'"),
+             (["formula-a", "--n", "1", "--k", "1", "--s", "0.5,y"], "reals", "'0.5,y'"),
+             (["measure-check", "--n", "2", "--k", "1", "--occ", "1,0.5"], "integers", "'1,0.5'"))
+    for argv, noun, text in cases:
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 1
+        assert f"expected comma-separated {noun}, got {text}" in capsys.readouterr().err
+
+
+def test_formula_a_divergent_origin_is_a_domain_error(capsys):
+    code, out, err = run(["formula-a", "--n", "3", "--k", "2", "--s=-0.9,-0.9,-0.9"], capsys)
+    assert (code, out) == (1, "")
+    assert "sum(s) + min(K, N) > 0" in err
+
+
+def test_sample_small_k_runs_clean():
+    """K = 0.07 puts radial_cdf's tanh-sinh nodes at R ~ 1e-300: the
+    sampler report must come out with no error and no warning on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bgcs.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-m", "bgcs", "sample", "--n", "1", "--k", "0.07",
+                           "--budget", "1000"], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["passed"] is True
+
+
 def test_tolerance_breach_exit_2(capsys):
     code, out, _ = run(["measure-check", "--n", "1", "--k", "1", "--occ", "2",
                         "--tol", "1e-18"], capsys)

@@ -100,6 +100,27 @@ def test_f_series_vec_matches_scalar(k, w):
     assert complex(vec[1]) == pytest.approx(1.0)
 
 
+@given(st.floats(min_value=0.05, max_value=8.0),
+       st.one_of(st.lists(st.floats(min_value=-20.0, max_value=60.0), min_size=1, max_size=4),
+                 st.lists(complex_args, min_size=1, max_size=4)))
+def test_f_series_is_the_vector_kernel(k, w):
+    """The scalar and the vectorized F run one shell recurrence: equal bit
+    for bit at the same summed argument, real or complex."""
+    s = np.sum(np.asarray(w))
+    assert coherent.f_series(k, w) == coherent._f_series_vec(k, np.array([s]))[0]
+
+
+def test_overflow_raises_overflow_not_convergence_error():
+    """A lane that leaves double range is an overflow, even when the series
+    runs to max_shells on the NaNs it produces."""
+    with pytest.raises(OverflowError):
+        coherent._f_series_vec(1.0, np.array([0.5, 1e300 + 0j]))
+    with pytest.raises(OverflowError):
+        coherent.f_series(1.0, [1e300 + 1e300j])
+    with pytest.raises(coherent.ConvergenceError):
+        coherent._f_series_vec(1.0, np.array([0.5, 50.0]), max_shells=3)
+
+
 @given(st.floats(min_value=0.3, max_value=5.0),
        st.lists(complex_args, min_size=1, max_size=2),
        st.lists(complex_args, min_size=1, max_size=2))

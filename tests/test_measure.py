@@ -2,6 +2,7 @@
 both integral formulas, the exact sampler, and the resolution of unity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,29 @@ def test_radial_cdf_monotone_to_one():
         measure.radial_cdf(model, -1.0)
 
 
+# frozen via tests/oracles.py radial_cdf (mpmath in v = R^min(K, N), 50 digits)
+CDF_N1_K0P07_Q0P21 = 0.9345590612773642581031586156
+
+
+def test_radial_cdf_small_k_matches_oracle():
+    """At K = 0.07 the density is ~R^-0.93 at the origin and the tanh-sinh
+    nodes reach R ~ 1e-300; none may land on R = 0 or warn on overflow."""
+    model = measure.MeasureModel(1, 0.07)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = measure.radial_cdf(model, 0.21)
+    assert value == pytest.approx(CDF_N1_K0P07_Q0P21, rel=1e-12)
+
+
+def test_radial_cdf_rejects_tiny_strength():
+    """Below min(K, N) = 0.05 the mass under the smallest node, ~e^(-744 K),
+    exceeds the tolerance: raise rather than clamp the window."""
+    with pytest.raises(ValueError, match=r"min\(K, N\) >= 0\.05"):
+        measure.radial_cdf(measure.MeasureModel(1, 0.04), 0.1)
+    with pytest.raises(ValueError):
+        measure.radial_cdf(measure.MeasureModel(3, 0.01), 0.1)
+
+
 # --- the two integral formulas ---------------------------------------------
 
 
@@ -128,6 +152,14 @@ def test_formula_a_domain_errors():
         measure.verify_formula_a(1, -1.0, [0.5])
     with pytest.raises(ValueError):
         measure.verify_formula_a(2, 1.0, [0.5])
+
+
+@pytest.mark.parametrize("n,k,s", [(3, 2.0, [-0.9, -0.9, -0.9]), (1, 0.5, [-0.6]),
+                                   (2, 0.25, [-0.1, -0.15])])
+def test_formula_a_needs_convergent_origin(n, k, s):
+    """Near R = 0 the integrand of (A) goes like R^(sum(s) + min(K, N) - 1)."""
+    with pytest.raises(ValueError, match=r"sum\(s\) \+ min\(K, N\) > 0"):
+        measure.verify_formula_a(n, k, s)
 
 
 def test_formula_b_listed_instances():
