@@ -41,6 +41,12 @@ def bessel_k(nu, x):
     return mp.quad(lambda t: mp.e ** (-x * mp.cosh(t)) * mp.cosh(nu * t), [0, 3, 14])
 
 
+def bessel_k_mp(nu, x):
+    """Macdonald K_nu(x) from mpmath.besselk, 50 digits, for any x > 0
+    (mpmath sums the hypergeometric series or the asymptotic expansion)."""
+    return mp.besselk(mp.mpf(nu), mp.mpf(x))
+
+
 def f_sum(k, w, terms=60):
     """Brute-force multi-index sum for the overlap series F_N(K; w):
 

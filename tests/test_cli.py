@@ -95,6 +95,18 @@ def test_sample_small_k_runs_clean():
     assert json.loads(done.stdout)["passed"] is True
 
 
+@pytest.mark.parametrize("n,k", [("2", "0.1"), ("1", "0.09")])
+def test_sample_small_argument_bessel_runs(n, k):
+    """The CDF rows of these models evaluate K_{K-N} at arguments near
+    1e-120, which takes the small-argument Bessel form."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bgcs.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-m", "bgcs", "sample", "--n", n, "--k", k,
+                           "--budget", "1000"], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["passed"] is True
+
+
 def test_tolerance_breach_exit_2(capsys):
     code, out, _ = run(["measure-check", "--n", "1", "--k", "1", "--occ", "2",
                         "--tol", "1e-18"], capsys)

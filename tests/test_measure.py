@@ -119,6 +119,25 @@ def test_radial_cdf_small_k_matches_oracle():
     assert value == pytest.approx(CDF_N1_K0P07_Q0P21, rel=1e-12)
 
 
+# frozen via tests/oracles.py radial_cdf at q = 0.21 (mpmath, 50 digits)
+SMALL_ARGUMENT_CDFS = {
+    (2, 0.1): 0.8495203461128482154101265706,
+    (2, 0.125): 0.8145832458459904906857719426,
+    (3, 0.15): 0.7314225639970712735251531854,
+    (1, 0.055): 0.9483869541098302058142782202,
+    (1, 0.09): 0.9163062816345410365626378705,
+}
+
+
+@pytest.mark.parametrize("n,k", sorted(SMALL_ARGUMENT_CDFS))
+def test_radial_cdf_reaches_the_small_argument_bessel_form(n, k):
+    """At these K the tanh-sinh nodes put K_{K-N}(2 sqrt R) at arguments
+    near 1e-120 to 1e-146, where the quadrature stalls and the
+    small-argument form Gamma(|nu|)/2 (2/x)^|nu| is exact in double."""
+    value = measure.radial_cdf(measure.MeasureModel(n, k), 0.21)
+    assert value == pytest.approx(SMALL_ARGUMENT_CDFS[n, k], rel=1e-12)
+
+
 def test_radial_cdf_rejects_tiny_strength():
     """Below min(K, N) = 0.05 the mass under the smallest node, ~e^(-744 K),
     exceeds the tolerance: raise rather than clamp the window."""

@@ -3,12 +3,14 @@ half-integer reductions, and cross-identities."""
 
 import math
 
+import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bgcs
+import oracles
 from bgcs import quadrature, specfun
 
 # frozen via tests/oracles.py (mpmath ascending series / cosh-integral, 50 digits)
@@ -141,11 +143,104 @@ def test_bessel_k_accepts_stalled_last_level(monkeypatch):
 
 
 def test_bessel_k_convergence_error_text():
+    """K leaves double range here (mpmath: log K = 809.69 > 709.78), which
+    the small-argument form shows without quadrature.  The ConvergenceError
+    text is pinned by the stalled-level test."""
     assert bgcs.ConvergenceError is specfun.ConvergenceError is quadrature.ConvergenceError
-    with pytest.raises(specfun.ConvergenceError) as info:
+    with pytest.raises(OverflowError) as info:
         specfun.bessel_k(-1.4038079065171498, 3.612024814854264e-251)
     assert str(info.value) == (
-        "bessel_k(-1.4038079065171498, 3.612024814854264e-251) quadrature did not converge")
+        "bessel_k(-1.4038079065171498, 3.612024814854264e-251) exceeds double range")
+
+
+@settings(max_examples=15)
+@given(st.floats(min_value=-6.0, max_value=6.0),
+       st.lists(st.floats(min_value=-20.0, max_value=2.5), min_size=65, max_size=200))
+def test_bessel_k_vec_is_bessel_k_lane_by_lane(nu, log10_xs):
+    """Batches of several lane blocks give every point the bits of a
+    one-point call, on both sides of the small-argument form."""
+    xs = [10.0**e for e in log10_xs]
+    assert specfun._bessel_k_vec(nu, xs).tolist() == [specfun.bessel_k(nu, x) for x in xs]
+
+
+def _first_error(nu, xs):
+    for x in xs:
+        try:
+            specfun.bessel_k(nu, x)
+        except (ValueError, OverflowError, specfun.ConvergenceError) as exc:
+            return type(exc), str(exc)
+    raise AssertionError("no point fails")
+
+
+def _vector_error(nu, xs):
+    with pytest.raises((ValueError, OverflowError, specfun.ConvergenceError)) as info:
+        specfun._bessel_k_vec(nu, xs)
+    return info.type, str(info.value)
+
+
+OVERFLOW_X = 3.612024814854264e-251  # overflows at nu = -1.4038...
+
+
+@pytest.mark.parametrize("xs,kind", [
+    ([1.0] * 70 + [OVERFLOW_X, 0.0, float("nan")], OverflowError),
+    ([2.0] * 3 + [0.0, OVERFLOW_X], ValueError),
+    ([float("nan")] + [1.0] * 80 + [-1.0], ValueError),
+    ([0.5] * 130 + [-2.0, OVERFLOW_X], ValueError),
+])
+def test_bessel_k_vec_raises_the_lowest_failing_points_error(xs, kind):
+    nu = -1.4038079065171498
+    assert _vector_error(nu, xs) == _first_error(nu, xs)
+    assert _first_error(nu, xs)[0] is kind
+
+
+@pytest.mark.parametrize("xs,kind", [
+    ([5.0] * 66 + [0.57] + [1e-300] * 3, specfun.ConvergenceError),
+    ([5.0] * 10 + [1e-300, 0.57], OverflowError),
+])
+def test_bessel_k_vec_raises_the_lowest_stalled_points_error(monkeypatch, xs, kind):
+    """With stall_tol dropped, x = 0.57 fails to converge inside a batch."""
+    refine = quadrature._refine_trapezoid
+    monkeypatch.setattr(specfun, "_refine_trapezoid",
+                        lambda g, lo, hi, tol, n0, stall_tol: refine(g, lo, hi, tol, n0=n0))
+    assert _vector_error(32.9, xs) == _first_error(32.9, xs)
+    assert _first_error(32.9, xs)[0] is kind
+
+
+BOX_NUS = (-5.0, -3.3, -1.0, -0.4, 0.0, 0.3, 1.0, 1.9, 2.5, 3.7, 4.5, 5.0)
+
+
+def test_bessel_k_matches_mpmath_on_the_box():
+    """|nu| <= 5, x in [1e-3, 300], within 5e-14 up to x = 100.  Beyond it
+    the exponent -nu w - x cosh w - peak is a difference of terms of size
+    x, whose rounding costs up to 1.2e-13 near x = 260 (ROADMAP item 5)."""
+    for nu in BOX_NUS:
+        for x in np.geomspace(1e-3, 300.0, 16):
+            expected = float(oracles.bessel_k_mp(nu, x))
+            tol = 5e-14 if x <= 100.0 else 2e-13
+            assert specfun.bessel_k(nu, x) == pytest.approx(expected, rel=tol), (nu, x)
+
+
+@pytest.mark.parametrize("nu", [0.5, -1.0, 1.5, -3.0, 5.0])
+def test_bessel_k_either_side_of_the_small_argument_form(monkeypatch, nu):
+    """Just below specfun._small_x_limit bessel_k is Gamma(|nu|)/2 (2/x)^|nu|
+    with no quadrature; just above it the quadrature lane holds ~2e-13,
+    where the exponent's terms are ~|nu| log(2|nu|/x) (ROADMAP item 5)."""
+    limit = specfun._small_x_limit(abs(nu))
+    lanes = []
+    refine = quadrature._refine_trapezoid
+
+    def spy(g, lo, hi, tol, n0, stall_tol):
+        lanes.append(np.size(lo))
+        return refine(g, lo, hi, tol, n0=n0, stall_tol=stall_tol)
+
+    monkeypatch.setattr(specfun, "_refine_trapezoid", spy)
+    below, above = 0.99 * limit, 1.01 * limit
+    assert specfun.bessel_k(nu, below) == pytest.approx(float(oracles.bessel_k_mp(nu, below)),
+                                                        rel=5e-14)
+    assert lanes == []
+    assert specfun.bessel_k(nu, above) == pytest.approx(float(oracles.bessel_k_mp(nu, above)),
+                                                        rel=3e-13)
+    assert lanes == [1]
 
 
 def test_bessel_domain_errors():
