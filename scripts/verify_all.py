@@ -3,8 +3,9 @@
 
 Covers the series/Bessel reduction, the generator algebra and subsidiary
 condition, the coherent-state eigen property, the radial moment identity,
-the resolution of unity, and both closed-form integral formulas. Exits 0
-if every check lands inside its tolerance, 2 otherwise.
+the resolution of unity, both closed-form integral formulas, and the
+kernel vs spectral trace. Exits 0 if every check lands inside its
+tolerance, 2 otherwise.
 
 Usage:
     python scripts/verify_all.py              # default grids, quiet-ish
@@ -99,9 +100,8 @@ def check_formulas(args):
 
 def check_trace(args):
     worst = 0.0
-    for n in range(1, min(args.n_max, 2) + 1):
-        hp = pathint.HamiltonianParams.from_mu(
-            [1.0] if n == 1 else [1.0, 1.6], c_last=0.3)
+    for mu in ([1.0], [1.0, 1.6], [1.0, 1.6, 2.2])[: args.n_max]:
+        hp = pathint.HamiltonianParams.from_mu(mu, c_last=0.3)
         for k in (0.5, 1.0, 2.5):
             for beta in (0.5, 1.0, 2.0):
                 expected = pathint.exact_spectral_trace(hp, k, beta)

@@ -29,7 +29,8 @@ s = sum(w), and each shell is a single term Gamma(K) s^d / (d! Gamma(K+d)).
 For N = 1 this gives F_1(K; x) = Gamma(K) x^((1-K)/2) I_{K-1}(2 sqrt x).
 f_series (one label product w) and _f_series_vec (an array of summed
 arguments) run that recurrence in one kernel, _shell_sum, so they agree
-bit for bit at the same s.
+bit for bit at the same s.  The same kernel with a weight per shell sums
+the angular moments of the quadrature kernel trace (bgcs.pathint).
 """
 
 from __future__ import annotations
@@ -105,20 +106,25 @@ def eigen_residual(z, space, alpha):
     return float(np.linalg.norm(resid[interior])) / denom
 
 
-def _shell_sum(k, s, tol, max_shells):
+def _shell_sum(k, s, tol, max_shells, weights=None):
     """F(K; s) on an array s by shells, shell_d = shell_{d-1} s / (d (K+d-1)),
     until every lane has had two consecutive shells below `tol` relative to
     its partial sum (two, because a complex s can make one shell pass near
     zero).  OverflowError if any lane leaves double range, else
-    ConvergenceError at `max_shells`."""
+    ConvergenceError at `max_shells`.
+
+    With `weights` (one per shell, d = 0..max_shells) the sum is
+    sum_d weights[d] shell_d instead, and the weighted term is what the
+    convergence test reads."""
     shell = np.ones_like(s)
-    total = shell.copy()
+    total = shell.copy() if weights is None else shell * weights[0]
     small = np.zeros(s.shape, dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite lanes raise below
         for d in range(1, max_shells + 1):
             shell = shell * s / (d * (k + d - 1.0))
-            total = total + shell
-            below = np.abs(shell) <= tol * np.maximum(np.abs(total), 1e-300)
+            term = shell if weights is None else shell * weights[d]
+            total = total + term
+            below = np.abs(term) <= tol * np.maximum(np.abs(total), 1e-300)
             small = np.where(below, small + 1, 0)
             if np.all(small >= 2):
                 break
@@ -146,11 +152,12 @@ def f_series(k, w, tol=SHELL_TOL, max_shells=MAX_SHELLS):
     return complex(_shell_sum(k, np.array([s]), tol, max_shells)[0])
 
 
-def _f_series_vec(k, s, tol=SHELL_TOL, max_shells=MAX_SHELLS):
+def _f_series_vec(k, s, tol=SHELL_TOL, max_shells=MAX_SHELLS, weights=None):
     """F over an array of (already summed) arguments s; the hot path of the
-    Monte Carlo and quadrature trace evaluations."""
+    Monte Carlo and quadrature trace evaluations.  `weights` (length
+    max_shells + 1) weights shell d by weights[d], as in _shell_sum."""
     s = np.asarray(s, dtype=complex if np.iscomplexobj(s) else float)
-    return _shell_sum(k, s, tol, max_shells)
+    return _shell_sum(k, s, tol, max_shells, weights)
 
 
 def inner_product(z, zp, k, tol=SHELL_TOL):

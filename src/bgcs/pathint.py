@@ -65,11 +65,12 @@ from functools import lru_cache
 import numpy as np
 
 from . import fock, mc, measure
-from .coherent import _f_series_vec, coefficient, f_series
+from .coherent import MAX_SHELLS, _f_series_vec, coefficient, f_series
 from .quadrature import de_halfline, gauss_legendre_01
 from .specfun import _bessel_k_vec, bessel_i, gamma
 
 VARIANCE_SAFE_LOG = math.log(4.0)  # kernel-trace MC: finite variance needs beta*mu > ln 4
+KERNEL_QUAD_MAX_N = 4  # the 64^(N-1) angular grid: 262144 points at N = 4
 
 
 @dataclass(frozen=True)
@@ -225,50 +226,73 @@ def diagonal_kernel(z, hp, k, beta):
     return math.exp(-beta * k * hp.c[-1]) * f_series(k, scaled)
 
 
+def _angular_grid(t):
+    """The Gauss-Legendre simplex grid of the kernel trace: per grid point,
+    g = sum_a t_a r_a / R and its weight, with 64^(N-1) points for the
+    N = len(t) Boltzmann factors t (one point of weight 1 at N = 1)."""
+    n = len(t)
+    if n == 1:
+        return np.array([float(t[0])]), np.ones(1)
+    nodes, weights = gauss_legendre_01()
+    flat = [ax.ravel() for ax in np.meshgrid(*([nodes] * (n - 1)), indexing="ij")]
+    waxes = [wx.ravel() for wx in np.meshgrid(*([weights] * (n - 1)), indexing="ij")]
+    grid_w = np.ones_like(flat[0])
+    for j, (xi, wi) in enumerate(zip(flat, waxes)):
+        grid_w = grid_w * wi * xi ** (n - 2 - j)
+    frac = np.empty((len(flat[0]), n))
+    running = np.ones_like(flat[0])
+    for a in range(n - 1):
+        frac[:, a] = running * (1.0 - flat[a])
+        running = running * flat[a]
+    frac[:, n - 1] = running
+    return t @ frac.T, grid_w
+
+
 def _kernel_quadrature(hp, k, beta, tol):
     """int dmu <z|e^{-beta H}|z> via the simplex substitution: Gauss-Legendre
-    over the bounded xi variables, double-exponential over xi_1 = R."""
+    over the bounded xi variables, double-exponential over xi_1 = R.
+
+    The angular grid sum and the shell sum commute exactly:
+
+        sum_j w_j F(K; x g_j) = sum_d Gamma(K) (x g_max)^d m_d / (d! Gamma(K+d)),
+        m_d = sum_j w_j (g_j / g_max)^d,
+
+    with every term positive, so the moments m_d are summed once per call
+    and each radial node x runs one weighted shell pass instead of one per
+    grid point.  The m_d are taken from the quadrature grid on purpose: the
+    closed-form moments of g, d! (N-1)! / (N-1+d)! h_d(t), would turn this
+    route into the spectral trace's product formula, and the
+    kernel-vs-spectral check would then compare that formula with itself.
+    """
     n = hp.n
-    t = np.exp(-beta * hp.mu)
-    if n == 1:
-        frac = np.ones((1, 1))
-        grid_w = np.ones(1)
-    else:
-        nodes, weights = gauss_legendre_01()
-        axes = np.meshgrid(*([nodes] * (n - 1)), indexing="ij")
-        waxes = np.meshgrid(*([weights] * (n - 1)), indexing="ij")
-        flat = [ax.ravel() for ax in axes]
-        grid_w = np.ones_like(flat[0])
-        for j, (xi, wi) in enumerate(zip(flat, [wx.ravel() for wx in waxes])):
-            grid_w = grid_w * wi * xi ** (n - 2 - j)
-        frac = np.empty((len(flat[0]), n))
-        running = np.ones_like(flat[0])
-        for a in range(n - 1):
-            frac[:, a] = running * (1.0 - flat[a])
-            running = running * flat[a]
-        frac[:, n - 1] = running
-        frac = frac.T
-    g = np.atleast_1d(t @ frac)  # per grid point: sum_a t_a r_a / R
+    g, grid_w = _angular_grid(np.exp(-beta * hp.mu))
     g_max = float(np.max(g))
+    ratio = g / g_max
+    moments = np.empty(MAX_SHELLS + 1)
+    scaled = grid_w.copy()
+    for d in range(MAX_SHELLS + 1):
+        moments[d] = scaled.sum()
+        scaled *= ratio
     norm = 2.0 / gamma(k)
     power = 0.5 * (k + n) - 1.0
 
     def f(x):
         radial = norm * x**power * _bessel_k_vec(k - n, 2.0 * np.sqrt(x))
-        series = _f_series_vec(k, np.outer(x, g))
-        return radial * (series @ grid_w)
+        return radial * _f_series_vec(k, x * g_max, weights=moments)
 
-    value, err = de_halfline(
+    return de_halfline(
         f, min(k, float(n)), ("sqrt", 2.0 * (1.0 - math.sqrt(g_max))),
         tol=tol, growth=0.5 * (k + n),
     )
-    return value, err
 
 
 def exact_kernel_trace(hp, k, beta, mode="quadrature", budget=10**6,
                        seed=mc.DEFAULT_SEED, workers=1, tol=1e-9):
     """Trace of exp(-beta H) computed as the measure integral of the
     diagonal kernel; must reproduce exact_spectral_trace.
+
+    Quadrature mode raises ValueError above N = 4: at N = 5 its 64^(N-1)
+    angular grid has 16.8 million points, gigabytes of arrays.
 
     Monte Carlo mode averages the diagonal kernel over exact samples.  Its
     second moment is finite only when every beta*mu_a exceeds ln 4 (the
@@ -284,6 +308,11 @@ def exact_kernel_trace(hp, k, beta, mode="quadrature", budget=10**6,
     params = {"n": hp.n, "k": k, "c": list(hp.c), "beta": beta, "mode": mode}
     prefactor = math.exp(-beta * k * hp.c[-1])
     if mode == "quadrature":
+        if hp.n > KERNEL_QUAD_MAX_N:
+            raise ValueError(
+                f"quadrature kernel trace supports N <= {KERNEL_QUAD_MAX_N}: at N = {hp.n} "
+                f"its 64^(N-1) angular grid has {64 ** (hp.n - 1)} points; "
+                f"use mode='montecarlo'")
         value, err = _kernel_quadrature(hp, k, beta, tol)
         return TraceResult(prefactor * value, prefactor * err, params)
     if mode != "montecarlo":

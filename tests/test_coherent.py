@@ -110,6 +110,33 @@ def test_f_series_is_the_vector_kernel(k, w):
     assert coherent.f_series(k, w) == coherent._f_series_vec(k, np.array([s]))[0]
 
 
+@given(st.floats(min_value=0.05, max_value=8.0),
+       st.one_of(st.lists(st.floats(min_value=-20.0, max_value=60.0), min_size=1, max_size=6),
+                 st.lists(complex_args, min_size=1, max_size=6)))
+def test_unit_shell_weights_leave_the_kernel_unchanged(k, s):
+    """Weighting every shell by 1 is the unweighted kernel, bit for bit."""
+    s = np.asarray(s)
+    ones = np.ones(coherent.MAX_SHELLS + 1)
+    plain = coherent._f_series_vec(k, s)
+    weighted = coherent._f_series_vec(k, s, weights=ones)
+    assert weighted.dtype == plain.dtype
+    assert np.array_equal(weighted, plain)
+
+
+def test_shell_weights_scale_each_shell():
+    """The weighted kernel sums weights[d] * shell_d, and its convergence test
+    reads the weighted shell: zero weights past degree 2 stop it two shells
+    later, even at an s whose unweighted shells are still growing."""
+    k, s = 1.5, np.array([0.0, 0.4, 2.0, 50.0])
+    weights = np.zeros(11)
+    weights[:3] = (2.0, 3.0, 5.0)
+    expected = 2.0 + 3.0 * s / k + 5.0 * s**2 / (2.0 * k * (k + 1.0))
+    got = coherent._f_series_vec(k, s, max_shells=10, weights=weights)
+    assert got == pytest.approx(expected, rel=1e-15)
+    with pytest.raises(coherent.ConvergenceError):
+        coherent._f_series_vec(k, np.array([50.0]), max_shells=3, weights=np.ones(4))
+
+
 def test_overflow_raises_overflow_not_convergence_error():
     """A lane that leaves double range is an overflow, even when the series
     runs to max_shells on the NaNs it produces."""

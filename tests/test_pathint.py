@@ -10,7 +10,7 @@ import scipy.integrate
 import scipy.linalg
 import scipy.special
 
-from bgcs import coherent, fock, pathint
+from bgcs import coherent, fock, pathint, specfun
 
 # frozen via tests/oracles.py geometric_trace
 Z_BETA_1 = 1.5819767068693264
@@ -121,13 +121,54 @@ def test_diagonal_kernel_vs_expm():
     assert complex(closed) == pytest.approx(complex(sandwich), rel=1e-12)
 
 
-@pytest.mark.parametrize("n,k,beta", [(1, 0.5, 1.0), (1, 2.5, 2.0), (2, 1.0, 0.5)])
+KERNEL_MU = {1: [1.0], 2: [1.0, 1.6], 3: [1.0, 1.3, 1.7], 4: [1.0, 1.3, 1.7, 2.1]}
+
+
+@pytest.mark.parametrize("n,k,beta", [(1, 0.5, 1.0), (1, 2.5, 2.0), (2, 1.0, 0.5),
+                                      (3, 3.5, 0.5), (4, 4.5, 2.0)])
 def test_kernel_trace_quadrature_matches_spectral(n, k, beta):
-    mu = [1.0] if n == 1 else [1.0, 1.6]
-    hp = pathint.HamiltonianParams.from_mu(mu, c_last=0.3)
+    hp = pathint.HamiltonianParams.from_mu(KERNEL_MU[n], c_last=0.3)
     res = pathint.exact_kernel_trace(hp, k, beta, mode="quadrature")
     expected = pathint.exact_spectral_trace(hp, k, beta)
     assert res.value == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("n,k,beta", [(1, 0.5, 1.0), (1, 2.5, 0.5), (2, 1.0, 0.5),
+                                      (2, 2.5, 2.0), (3, 2.5, 2.0), (3, 3.5, 0.5)])
+def test_kernel_moment_form_is_the_grid_sum(monkeypatch, n, k, beta):
+    """The angular moment form of the integrand equals the reference that
+    sums F(K; x g_j) over every grid point: to 1e-15 relative, and bit for
+    bit at N = 1, where the grid is one point of weight 1."""
+    captured = []  # the radial integrand that _kernel_quadrature hands to de_halfline
+    monkeypatch.setattr(pathint, "de_halfline",
+                        lambda f, *a, **kw: captured.append(f) or (0.0, 0.0))
+    hp = pathint.HamiltonianParams.from_mu(KERNEL_MU[n], c_last=0.3)
+    pathint.exact_kernel_trace(hp, k, beta)
+    g, grid_w = pathint._angular_grid(np.exp(-beta * hp.mu))
+    x = np.array([1e-6, 0.03, 0.7, 4.0, 25.0, 160.0, 900.0])
+    radial = (2.0 / specfun.gamma(k) * x ** (0.5 * (k + n) - 1.0)
+              * specfun._bessel_k_vec(k - n, 2.0 * np.sqrt(x)))
+    reference = radial * (coherent._f_series_vec(k, np.outer(x, g)) @ grid_w)
+    got = captured[0](x)
+    if n == 1:
+        assert np.array_equal(got, reference)
+    else:
+        assert np.max(np.abs(got - reference) / reference) <= 1e-15
+
+
+def test_kernel_trace_quadrature_refuses_n5_before_building_the_grid(monkeypatch):
+    """Above N = 4 quadrature mode raises, naming the grid, before it builds
+    anything; Monte Carlo mode still runs there."""
+
+    def build(*args):
+        pytest.fail("the N = 5 quadrature trace started building its grid")
+
+    monkeypatch.setattr(pathint, "_angular_grid", build)
+    hp = pathint.HamiltonianParams.from_mu([1.0, 1.3, 1.7, 2.1, 2.5])
+    with pytest.raises(ValueError, match=r"N <= 4: at N = 5 its 64\^\(N-1\) angular grid"):
+        pathint.exact_kernel_trace(hp, 2.0, 1.0)
+    res = pathint.exact_kernel_trace(hp, 2.0, 1.0, mode="montecarlo", budget=2000, seed=3)
+    assert math.isfinite(res.value)
 
 
 def test_kernel_trace_montecarlo_safe_window():
