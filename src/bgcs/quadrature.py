@@ -1,17 +1,13 @@
 """Quadrature building blocks: the trapezoid refiner, Gauss-Legendre tables,
 tanh-sinh rules, and a double-exponential transform for half-line integrals.
 
-The bottom layer: it imports nothing from bgcs, defines ConvergenceError,
-and its _refine_trapezoid also evaluates specfun's Bessel-K integral.
+The bottom layer: it imports nothing from bgcs and defines ConvergenceError.
 
 All routines expect vectorized integrands (numpy array in, array out) and
-refine a trapezoid grid by halving until two consecutive passes agree to
-the requested tolerance, reusing previously computed nodes.  The refiner
-takes one window or an array of them, one lane each, and refines all live
-lanes on one (lanes x nodes) grid; a lane that converges drops out, and
-its value has the bits a call on that window alone gives.  The interval
-and half-line rules below run it on one lane, specfun's Bessel K on up to
-64.
+refine a trapezoid grid on one window by halving until two consecutive
+passes agree to the requested tolerance, reusing previously computed
+nodes.  specfun's Bessel K does not refine: its integrand's strip of
+analyticity fixes the step in advance (see specfun._bessel_k_log_quad).
 
 One tanh-sinh map, _tanh_sinh, serves both interval rules.  It hands its
 integrand log x and log(1 - x) rather than x, so the far nodes neither
@@ -49,59 +45,32 @@ def gauss_legendre_01(n=64):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _refine_trapezoid(g, lo, hi, tol, n0=128, stall_tol=None):
-    """Trapezoid values of a vectorized g on the windows [lo, hi], refined by
-    halving, one lane per window.
+def _refine_trapezoid(g, lo, hi, tol, n0=128):
+    """Trapezoid value of a vectorized g on [lo, hi], refined by halving.
 
-    lo and hi are scalars (one lane) or 1-D arrays.  g(t, rows) gets the
-    nodes of the live lanes as a 2-D array, one row per lane, and `rows`,
-    their lane indices.  Endpoint values are assumed negligible (the callers
-    build windows on which the integrand has already dropped by ~e^-45 from
-    its peak).  A lane converges once two consecutive changes are within
-    tol * |value| and drops out of later levels; with stall_tol, a last
-    change within stall_tol * |value| after the final level is accepted.
-    Every lane's arithmetic is its own, so it gives the same bits alone or
-    in a batch.  Returns (values, last changes, evaluations), the first two
-    shaped like lo; raises ConvergenceError for the lowest lane that fails.
+    Endpoint values are assumed negligible (the callers build windows on
+    which the integrand has already dropped by ~e^-45 from its peak).
+    Converges once two consecutive changes are within tol * |value|.
+    Returns (value, last change, evaluations); raises ConvergenceError
+    after _REFINE_LEVELS halvings.
     """
-    lo_v = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi_v = np.atleast_1d(np.asarray(hi, dtype=float))
-    rows = np.arange(lo_v.size)  # the live lanes; their state below is compacted
-    lo_l, h = lo_v, (hi_v - lo_v) / n0
-    vals = g(lo_l[:, None] + h[:, None] * np.arange(n0 + 1), rows)
-    total = h * (vals.sum(axis=1) - 0.5 * (vals[:, 0] + vals[:, -1]))
+    h = (hi - lo) / n0
+    vals = g(lo + h * np.arange(n0 + 1))
+    total = h * (np.sum(vals) - 0.5 * (vals[0] + vals[-1]))
     evals = vals.size
-    values, changes = np.empty_like(lo_v), np.empty_like(lo_v)
-    converged = np.zeros(lo_v.size, dtype=int)
-    for level in range(_REFINE_LEVELS):
-        # the nodes of np.arange(lo + h / 2, hi, h), row by row
-        start = lo_l + 0.5 * h
-        second = start + h
-        mid = start[:, None] + np.arange(n0 << level) * (second - start)[:, None]
-        mid[:, 1] = second
-        new_total = 0.5 * total + 0.5 * h * g(mid, rows).sum(axis=1)
+    converged = 0
+    for _ in range(_REFINE_LEVELS):
+        mid = np.arange(lo + 0.5 * h, hi, h)
+        new_total = 0.5 * total + 0.5 * h * np.sum(g(mid))
         evals += mid.size
-        h = 0.5 * h
-        change = np.abs(new_total - total)
+        h *= 0.5
+        change = abs(new_total - total)
         total = new_total
-        converged = np.where(change <= tol * np.maximum(np.abs(total), 1e-300), converged + 1, 0)
-        done = converged >= 2
-        if level == _REFINE_LEVELS - 1 and stall_tol is not None:
-            done |= change <= stall_tol * np.maximum(np.abs(total), 1e-300)
-        if done.any():
-            values[rows[done]], changes[rows[done]] = total[done], change[done]
-            keep = ~done
-            rows, lo_l, h, total, change, converged = (
-                a[keep] for a in (rows, lo_l, h, total, change, converged))
-            if not rows.size:
-                break
-    if rows.size:
-        i = rows[0]
-        raise ConvergenceError(f"trapezoid refinement stalled on [{float(lo_v[i])}, "
-                               f"{float(hi_v[i])}] (last change {change[0]:.3e})")
-    if np.ndim(lo) == 0:
-        return values[0], changes[0], evals
-    return values, changes, evals
+        converged = converged + 1 if change <= tol * max(abs(total), 1e-300) else 0
+        if converged >= 2:
+            return total, change, evals
+    raise ConvergenceError(
+        f"trapezoid refinement stalled on [{lo}, {hi}] (last change {change:.3e})")
 
 
 def _tanh_sinh(g, strength, tol):
@@ -115,7 +84,7 @@ def _tanh_sinh(g, strength, tol):
     """
     T = math.asinh(55.0 / (math.pi * min(strength, 1.0)))
 
-    def mapped(t, _rows):
+    def mapped(t):
         u = math.pi * np.sinh(t)
         return g(-np.logaddexp(0.0, -u), -np.logaddexp(0.0, u), np.log(math.pi * np.cosh(t)))
 
@@ -209,7 +178,7 @@ def de_halfline(f, c_eff, decay, tol=1e-12, growth=0.0):
     x_big = _solve_tail(kind, b, growth, 60.0)
     t_hi = math.log(x_big) + 1.0
 
-    def g(t, _rows):
+    def g(t):
         log_x = t - np.exp(-t)
         x = np.exp(np.maximum(log_x, _LOG_FLOOR))
         out = np.zeros_like(t)

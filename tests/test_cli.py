@@ -1,6 +1,7 @@
 """Command-line contract: report formats, exit codes, determinism, and the
 documented example invocations."""
 
+import cmath
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import bgcs
-from bgcs import cli, coherent
+from bgcs import cli, coherent, pathint
 from bgcs.mc import DEFAULT_SEED
 
 
@@ -45,6 +46,59 @@ def test_trace_matrix_example(capsys):
     assert report["reference"] == pytest.approx(1.5819767069, rel=1e-9)
     assert abs(report["value"] - report["reference"]) <= 0.01 * report["reference"]
     assert report["weights"] == "linear"
+
+
+def test_trace_real_time_matrix_reference(capsys):
+    """Real time: the reference is sum_n exp(-i t n) over the 21 states of
+    the N = 1 basis (mu = 1, c_last = 0), and its imaginary part is kept."""
+    code, out, _ = run(["trace", "--n", "1", "--k", "1", "--mu", "1", "--t", "0.1",
+                        "--m", "64", "--mode", "real", "--backend", "matrix",
+                        "--cutoff", "20", "--tol", "0.05"], capsys)
+    report = json.loads(out)
+    expected = sum(cmath.exp(-0.1j * n) for n in range(21))
+    assert report["reference"] == pytest.approx(expected.real, rel=1e-12)
+    assert report["reference_im"] == pytest.approx(expected.imag, rel=1e-12)
+    assert code == 0 and report["passed"] is True
+
+
+def test_trace_falls_back_to_the_truncated_reference(capsys):
+    """mu = 0 makes the closed product diverge, so the reference is the
+    truncated trace: all 21 levels of the N = 1 basis sit at 0."""
+    hp = pathint.HamiltonianParams.from_mu([0.0])
+    with pytest.raises(ValueError, match="diverges"):
+        pathint.exact_spectral_trace(hp, 1.0, 1.0)
+    code, out, _ = run(["trace", "--n", "1", "--k", "1", "--mu", "0", "--beta", "1",
+                        "--m", "64", "--mode", "imaginary", "--backend", "matrix",
+                        "--cutoff", "20"], capsys)
+    report = json.loads(out)
+    assert report["reference"] == 21.0 and "reference_im" not in report
+    assert code == 0
+
+
+def test_trace_montecarlo_without_cutoff_has_no_reference(capsys):
+    code, out, _ = run(["trace", "--n", "1", "--k", "1", "--mu", "1", "--beta", "1",
+                        "--m", "8", "--backend", "montecarlo", "--budget", "2000"], capsys)
+    report = json.loads(out)
+    assert code == 0
+    assert "reference" not in report and "passed" not in report
+    assert report["backend"] == "montecarlo" and report["budget"] == 2000
+
+
+def test_csv_flattens_list_parameters(capsys):
+    code, out, _ = run(["eval-f", "--k", "1.5", "--w", "0.3,0.5+0.2j", "--format", "csv"],
+                       capsys)
+    header, row = (line.split(",") for line in out.strip().splitlines())
+    fields = dict(zip(header, row))
+    assert code == 0
+    assert (fields["params.w_re.0"], fields["params.w_re.1"]) == ("0.3", "0.5")
+    assert (fields["params.w_im.0"], fields["params.w_im.1"]) == ("0.0", "0.2")
+
+
+def test_vector_options_of_the_wrong_length_exit_1(capsys):
+    code, out, err = run(["measure-check", "--n", "2", "--k", "1", "--occ", "1"], capsys)
+    assert (code, out) == (1, "") and "--occ needs 2 entries, got 1" in err
+    code, out, err = run(["formula-a", "--n", "2", "--k", "1", "--s", "0.5,0.2,0.1"], capsys)
+    assert (code, out) == (1, "") and "--s needs 2 entries, got 3" in err
 
 
 def test_usage_errors_exit_1(capsys):

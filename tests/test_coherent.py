@@ -202,3 +202,23 @@ def test_f_series_failure_modes():
         coherent.f_series(1.0, [])
     with pytest.raises(ValueError):
         coherent.inner_product([1.0], [1.0, 2.0], 1.0)
+
+
+def test_amplitude_domain_checks():
+    space = fock.rep_space(2, 1.5, 3)
+    with pytest.raises(ValueError, match="need k > 0"):
+        coherent.coefficient((1, 0), 0.0)
+    with pytest.raises(ValueError, match="need k > 0"):
+        coherent.coefficient((1, 0), -1.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        coherent.coefficient((1, -1), 1.5)
+    with pytest.raises(ValueError, match="2 components"):
+        coherent.state_vector([0.1, 0.2, 0.3], space)
+    with pytest.raises(ValueError, match="2 components"):
+        coherent.state_vector([[0.1, 0.2]], space)
+    for bad in (math.nan, math.inf, complex(0.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            coherent.state_vector([0.1, bad], space)
+    for alpha in (0, 3):
+        with pytest.raises(ValueError, match=r"alpha must lie in 1\.\.2"):
+            coherent.eigen_residual([0.1, 0.2], space, alpha)

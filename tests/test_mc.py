@@ -2,6 +2,8 @@
 Carlo results of every sampling routine pinned to the values of the
 per-routine loops that mc.draws replaced."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -75,3 +77,25 @@ def test_resolution_montecarlo_values():
                                    budget=5000, seed=15, workers=2)
     assert res.max_dev == pytest.approx(3.208903575694111, rel=1e-12)
     assert res.max_z == pytest.approx(3.280528708421038, rel=1e-12)
+
+
+def test_stream_and_budget_checks():
+    for workers in (0, -1, 2.0, "2"):
+        with pytest.raises(ValueError, match="integer workers >= 1"):
+            mc.spawn_rngs(1, workers)
+    for total in (0, -5, 10.0):
+        with pytest.raises(ValueError, match="integer sample count >= 1"):
+            mc.split_count(total, 2)
+    assert mc.split_count(np.int64(7), 3) == [3, 2, 2]
+
+
+def test_running_moments_edge_cases():
+    acc = mc.RunningMoments()
+    with pytest.raises(ValueError, match="no samples"):
+        acc.mean
+    assert acc.sem == math.inf
+    assert acc.max_fraction == 0.0
+    acc.add([1.5])
+    assert acc.mean == 1.5 and acc.sem == math.inf
+    acc.add([-1.5])
+    assert acc.mean == 0.0 and acc.max_fraction == 0.0

@@ -389,3 +389,17 @@ def test_trace_result_serialization():
     assert record["value"] == pytest.approx(complex(res.value).real)
     assert record["error"] is None
     assert record["slices"] == 8 and record["weights"] == "linear"
+
+
+def test_label_and_dimension_checks():
+    hp = pathint.HamiltonianParams.from_mu([1.0, 1.3])
+    with pytest.raises(ValueError, match="unknown backend 'bogus'"):
+        pathint.TraceConfig(backend="bogus")
+    with pytest.raises(ValueError, match="labels must have 2 components"):
+        pathint.h_matrix_element([0.1], [0.1, 0.2], hp, 1.5)
+    with pytest.raises(ValueError, match="labels must have 2 components"):
+        pathint.h_matrix_element([0.1, 0.2], [0.1, 0.2, 0.3], hp, 1.5)
+    with pytest.raises(ValueError, match="label must have 2 components"):
+        pathint.diagonal_kernel([0.1, 0.2, 0.3], hp, 1.5, 1.0)
+    with pytest.raises(ValueError, match="space has N=1 but Hamiltonian has N=2"):
+        pathint.h_operator(hp, 1.5, fock.rep_space(1, 1.5, 4))

@@ -34,35 +34,10 @@ def test_tanh_sinh_never_evaluates_at_an_endpoint():
     assert value == pytest.approx(0.21**0.07, rel=1e-12)
 
 
-def test_refiner_lanes_are_one_lane_calls():
-    """Lanes of one call converge at different levels, each with the bits
-    and node count of a one-lane call; a scalar window gives scalars."""
-    widths = np.array([0.25, 0.5, 1.0, 2.0])
-
-    def g(t, rows):
-        return np.exp(-(t / widths[rows, None]) ** 2) / widths[rows, None]
-
-    lo, hi = np.full(4, -20.0), np.full(4, 20.0)
-    values, changes, evals = quadrature._refine_trapezoid(g, lo, hi, 1e-14, n0=16)
-    alone = [quadrature._refine_trapezoid(lambda t, _rows, w=w: np.exp(-(t / w) ** 2) / w,
-                                          a, b, 1e-14, n0=16)
-             for w, a, b in zip(widths, lo, hi)]
-    assert values.tolist() == [v for v, _, _ in alone]
-    assert changes.tolist() == [c for _, c, _ in alone]
-    assert type(evals) is int and evals == sum(e for _, _, e in alone)
-    assert len({e for _, _, e in alone}) > 1
-    assert np.ndim(alone[0][0]) == 0
-    assert values == pytest.approx(np.sqrt(np.pi), rel=1e-14)
-
-
-def test_refiner_names_the_lowest_lane_that_stalls():
-    def g(t, rows):
-        return np.where(rows[:, None] >= 1, np.abs(np.sin(40.0 * t)), np.exp(-t * t))
-
+def test_refiner_names_the_window_that_stalls():
     with pytest.raises(quadrature.ConvergenceError,
                        match=r"^trapezoid refinement stalled on \[-1\.0, 2\.0\] "):
-        quadrature._refine_trapezoid(g, np.array([-9.0, -1.0, -3.0]),
-                                     np.array([9.0, 2.0, 3.0]), 1e-14, n0=4)
+        quadrature._refine_trapezoid(lambda t: np.abs(np.sin(40.0 * t)), -1.0, 2.0, 1e-14, n0=4)
 
 
 # frozen from the one-window refiner these rules ran on; lanes must not move them
@@ -78,3 +53,20 @@ def test_one_lane_rules_keep_their_bits():
     assert quadrature.power_integral_01(0.3, 1.7) == 0.23105171360833043
     assert quadrature.power_integral_01(-0.97, -0.93) == 47.46592818608996
     assert quadrature.power_integral_01(-0.5, 2.25) == 1.0215808653086185
+
+
+def test_rule_argument_checks():
+    with pytest.raises(ValueError, match="need b > a"):
+        quadrature.tanh_sinh(np.exp, 1.0, 1.0)
+    with pytest.raises(ValueError, match="singular_strength > 0"):
+        quadrature.tanh_sinh(np.exp, 0.0, 1.0, singular_strength=0.0)
+    with pytest.raises(ValueError, match="exponents must exceed -1"):
+        quadrature.power_integral_01(-1.0, 0.5)
+    with pytest.raises(ValueError, match="exponents must exceed -1"):
+        quadrature.power_integral_01(0.5, -1.5)
+    with pytest.raises(ValueError, match="c_eff must exceed 0.05"):
+        quadrature.de_halfline(np.exp, 0.05, ("lin", 1.0))
+    with pytest.raises(ValueError, match="decay rate must be positive"):
+        quadrature.de_halfline(np.exp, 1.0, ("lin", 0.0))
+    with pytest.raises(ValueError, match="unknown decay kind 'cubic'"):
+        quadrature.de_halfline(np.exp, 1.0, ("cubic", 1.0))

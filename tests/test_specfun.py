@@ -130,13 +130,12 @@ def test_bessel_against_scipy(nu, x):
     assert specfun.bessel_k(nu, x) == pytest.approx(scipy.special.kv(nu, x), rel=1e-12)
 
 
-def test_bessel_k_accepts_stalled_last_level(monkeypatch):
-    """At large order and small argument the refinement stalls near 1e-12
-    relative: bessel_k accepts that last level, the bare refiner raises."""
-    assert specfun.bessel_k(32.9, 0.57) == pytest.approx(K_32_9_AT_0_57, rel=1e-12)
-    refine = quadrature._refine_trapezoid
-    monkeypatch.setattr(specfun, "_refine_trapezoid",
-                        lambda g, lo, hi, tol, n0, stall_tol: refine(g, lo, hi, tol, n0=n0))
+def test_bessel_k_converges_at_large_order_small_argument(monkeypatch):
+    """The exponent's terms are ~150 in size here, and one fixed-step sum
+    still holds 1e-14 against mpmath.  With the self-check's bound at 0 the
+    same point raises ConvergenceError."""
+    assert specfun.bessel_k(32.9, 0.57) == pytest.approx(K_32_9_AT_0_57, rel=5e-14)
+    monkeypatch.setattr(specfun, "_K_GAP", 0.0)
     with pytest.raises(specfun.ConvergenceError,
                        match=r"^bessel_k\(32\.9, 0\.57\) quadrature did not converge$"):
         specfun.bessel_k(32.9, 0.57)
@@ -198,10 +197,11 @@ def test_bessel_k_vec_raises_the_lowest_failing_points_error(xs, kind):
     ([5.0] * 10 + [1e-300, 0.57], OverflowError),
 ])
 def test_bessel_k_vec_raises_the_lowest_stalled_points_error(monkeypatch, xs, kind):
-    """With stall_tol dropped, x = 0.57 fails to converge inside a batch."""
-    refine = quadrature._refine_trapezoid
-    monkeypatch.setattr(specfun, "_refine_trapezoid",
-                        lambda g, lo, hi, tol, n0, stall_tol: refine(g, lo, hi, tol, n0=n0))
+    """With the self-check's bound between the gaps at x = 5 and x = 0.57,
+    x = 0.57 fails its self-check inside a batch."""
+    _, (gap_pass, gap_fail) = specfun._bessel_k_log_quad(32.9, np.array([5.0, 0.57]))
+    assert gap_pass < gap_fail
+    monkeypatch.setattr(specfun, "_K_GAP", math.sqrt(gap_pass * gap_fail))
     assert _vector_error(32.9, xs) == _first_error(32.9, xs)
     assert _first_error(32.9, xs)[0] is kind
 
@@ -223,24 +223,47 @@ def test_bessel_k_matches_mpmath_on_the_box():
 @pytest.mark.parametrize("nu", [0.5, -1.0, 1.5, -3.0, 5.0])
 def test_bessel_k_either_side_of_the_small_argument_form(monkeypatch, nu):
     """Just below specfun._small_x_limit bessel_k is Gamma(|nu|)/2 (2/x)^|nu|
-    with no quadrature; just above it the quadrature lane holds ~2e-13,
-    where the exponent's terms are ~|nu| log(2|nu|/x) (ROADMAP item 5)."""
+    with no quadrature; just above it one trapezoid sum holds ~4e-15,
+    although the exponent's terms are ~|nu| log(2|nu|/x) there."""
     limit = specfun._small_x_limit(abs(nu))
-    lanes = []
-    refine = quadrature._refine_trapezoid
+    points = []
+    log_quad = specfun._bessel_k_log_quad
 
-    def spy(g, lo, hi, tol, n0, stall_tol):
-        lanes.append(np.size(lo))
-        return refine(g, lo, hi, tol, n0=n0, stall_tol=stall_tol)
+    def spy(nu, x):
+        points.append(x.size)
+        return log_quad(nu, x)
 
-    monkeypatch.setattr(specfun, "_refine_trapezoid", spy)
+    monkeypatch.setattr(specfun, "_bessel_k_log_quad", spy)
     below, above = 0.99 * limit, 1.01 * limit
     assert specfun.bessel_k(nu, below) == pytest.approx(float(oracles.bessel_k_mp(nu, below)),
                                                         rel=5e-14)
-    assert lanes == []
+    assert points == []
     assert specfun.bessel_k(nu, above) == pytest.approx(float(oracles.bessel_k_mp(nu, above)),
-                                                        rel=3e-13)
-    assert lanes == [1]
+                                                        rel=5e-14)
+    assert points == [1]
+
+
+@pytest.mark.parametrize("nu,x", [(42.0, 3e-6), (39.75, 5.5e-7), (45.0, 1.8e-5)])
+def test_bessel_k_large_order_above_the_small_argument_form(nu, x):
+    """Above _small_x_limit at |nu| of 40-45, where log K is 647-706: one
+    fixed-step sum holds 1e-13 against mpmath."""
+    expected = float(oracles.bessel_k_mp(nu, x))
+    assert specfun.bessel_k(nu, x) == pytest.approx(expected, rel=1e-13)
+    assert specfun.bessel_k(-nu, x) == pytest.approx(expected, rel=1e-13)
+
+
+def test_bessel_k_large_order_overflow_is_overflow():
+    """mpmath: log K_50(1e-5) = 754.2, so K leaves double range there."""
+    assert oracles.mp.log(oracles.bessel_k_mp(50.0, 1e-5)) > 709.8
+    with pytest.raises(OverflowError, match=r"^bessel_k\(50\.0, 1e-05\) exceeds double range$"):
+        specfun.bessel_k(50.0, 1e-5)
+
+
+def test_bessel_k_large_argument_accuracy():
+    """At this point of the dense box grid (geomspace(1e-3, 300, 200)) the
+    exponent's terms are ~264 in size; one fixed-step sum holds 5e-14."""
+    x = 264.286396801017
+    assert specfun.bessel_k(3.5, x) == pytest.approx(float(oracles.bessel_k_mp(3.5, x)), rel=5e-14)
 
 
 def test_bessel_domain_errors():
