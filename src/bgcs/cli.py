@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -252,7 +253,10 @@ def _cmd_trace(args):
     return report, _EXIT_OK if report["passed"] else _EXIT_BREACH
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The `bgcs` argument parser, built once per process: parsing leaves it
+    unchanged, and the default seed is read when a command runs."""
     parser = _Parser(prog="bgcs", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -59,6 +59,19 @@ def coefficient(n, k):
     return math.exp(0.5 * log_c2)
 
 
+def coefficients(space):
+    """C_n for every basis state of a truncated space, in basis order, with
+    the bits of ``coefficient``: the same exponent, summed in the same
+    order, and math.exp on each entry (np.exp can differ by an ulp)."""
+    log_fact = np.array([log_gamma(v + 1.0) for v in range(space.cutoff + 1)])
+    log_kd = np.array([log_gamma(space.k + d) for d in range(space.cutoff + 1)])
+    log_fact_sum = 0.0
+    for a in range(space.n):
+        log_fact_sum = log_fact_sum + log_fact[space.occ[:, a]]
+    log_c2 = log_gamma(space.k) - log_kd[space.deg] - log_fact_sum
+    return np.array([math.exp(v) for v in (0.5 * log_c2).tolist()])
+
+
 def coefficients_by_recursion(space):
     """All amplitudes on a truncated space built by repeated application of
     the one-step relation, starting from C_0 = 1.  Dual route to
@@ -82,8 +95,7 @@ def state_vector(z, space):
         raise ValueError(f"label must have {space.n} components, got shape {z.shape}")
     if not np.all(np.isfinite(z)):
         raise ValueError("label components must be finite")
-    coeffs = np.array([coefficient(state, space.k) for state in space.occ.tolist()])
-    return coeffs * np.prod(z**space.occ, axis=1)
+    return coefficients(space) * np.prod(z**space.occ, axis=1)
 
 
 def eigen_residual(z, space, alpha):
@@ -113,24 +125,43 @@ def _shell_sum(k, s, tol, max_shells, weights=None):
     zero).  OverflowError if any lane leaves double range, else
     ConvergenceError at `max_shells`.
 
-    With `weights` (one per shell, d = 0..max_shells) the sum is
+    With `weights` (indexable by shell, d = 0..max_shells) the sum is
     sum_d weights[d] shell_d instead, and the weighted term is what the
-    convergence test reads."""
+    convergence test reads.
+
+    Every lane has had two small shells in a row exactly when all lanes
+    were below at shell d and all were below at shell d-1, so two flags
+    carry the stop rule.  A shell allocates nothing: it writes into
+    buffers made once per call.  The product shell * s goes to a buffer
+    of its own, because numpy's in-place complex multiply can round
+    differently from the out-of-place one."""
     shell = np.ones_like(s)
     total = shell.copy() if weights is None else shell * weights[0]
-    small = np.zeros(s.shape, dtype=int)
+    product = np.empty_like(shell)
+    term = shell if weights is None else np.empty_like(shell)
+    size = np.empty(s.shape, dtype=shell.real.dtype)  # |term|
+    bound = np.empty_like(size)  # tol * max(|total|, 1e-300)
+    below = np.empty(s.shape, dtype=bool)
+    was_below = converged = False
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite lanes raise below
         for d in range(1, max_shells + 1):
-            shell = shell * s / (d * (k + d - 1.0))
-            term = shell if weights is None else shell * weights[d]
-            total = total + term
-            below = np.abs(term) <= tol * np.maximum(np.abs(total), 1e-300)
-            small = np.where(below, small + 1, 0)
-            if np.all(small >= 2):
+            np.multiply(shell, s, out=product)
+            np.divide(product, d * (k + d - 1.0), out=shell)
+            if weights is not None:
+                np.multiply(shell, weights[d], out=term)
+            np.add(total, term, out=total)
+            np.abs(term, out=size)
+            np.abs(total, out=bound)
+            np.maximum(bound, 1e-300, out=bound)
+            np.multiply(bound, tol, out=bound)
+            is_below = bool(np.less_equal(size, bound, out=below).all())
+            if is_below and was_below:
+                converged = True
                 break
+            was_below = is_below
     if not np.all(np.isfinite(total)):
         raise OverflowError(f"F series (k={k}) exceeds double range")
-    if not np.all(small >= 2):
+    if not converged:
         raise ConvergenceError(f"F series did not converge within {max_shells} shells")
     return total
 
@@ -154,8 +185,8 @@ def f_series(k, w, tol=SHELL_TOL, max_shells=MAX_SHELLS):
 
 def _f_series_vec(k, s, tol=SHELL_TOL, max_shells=MAX_SHELLS, weights=None):
     """F over an array of (already summed) arguments s; the hot path of the
-    Monte Carlo and quadrature trace evaluations.  `weights` (length
-    max_shells + 1) weights shell d by weights[d], as in _shell_sum."""
+    Monte Carlo and quadrature trace evaluations.  `weights` (indexable by
+    shell, d = 0..max_shells) weights shell d by weights[d], as in _shell_sum."""
     s = np.asarray(s, dtype=complex if np.iscomplexobj(s) else float)
     return _shell_sum(k, s, tol, max_shells, weights)
 

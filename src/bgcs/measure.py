@@ -392,8 +392,9 @@ def _basis_monomials(space, z):
             col.append(col[-1] * z[:, a])
         powers.append(col)
     m = np.empty((space.dim, count), dtype=complex)
+    coeffs = coherent.coefficients(space).tolist()
     for i, state in enumerate(space.occ.tolist()):
-        m[i] = coherent.coefficient(state, space.k)
+        m[i] = coeffs[i]
         for a, na in enumerate(state):
             if na:
                 m[i] *= powers[a][na]
@@ -441,7 +442,7 @@ def resolution_check(model, cutoff, mode="quadrature", budget=10**5,
     # analytic per-entry variance: E|g|^2 = C_m^2 C_n^2 prod (m_a+n_a)! *
     # Gamma(K + |m|+|n|) / Gamma(K), minus |delta_mn|^2
     k, occ, deg = model.k, space.occ, space.deg
-    log_c = np.array([math.log(coherent.coefficient(state, k)) for state in occ.tolist()])
+    log_c = np.array([math.log(c) for c in coherent.coefficients(space).tolist()])
     log_fact = np.array([math.lgamma(v + 1.0) for v in range(2 * cutoff + 1)])
     log_gamma_kd = np.array([[math.lgamma(k + di + dj) for dj in range(cutoff + 1)]
                              for di in range(cutoff + 1)])

@@ -225,6 +225,18 @@ def test_seed_resolution(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 9
 
 
+def test_cached_parser_reads_the_seed_per_call(capsys, monkeypatch):
+    """The parser is built once per process, so the BGCS_SEED default must
+    be read when each command runs, not when the parser is built."""
+    assert cli.build_parser() is cli.build_parser()
+    seeds = []
+    for env in ("11", "12"):
+        monkeypatch.setenv("BGCS_SEED", env)
+        _, out, _ = run(["sample", "--n", "1", "--k", "1", "--budget", "1000"], capsys)
+        seeds.append(json.loads(out)["seed"])
+    assert seeds == [11, 12]
+
+
 def test_out_writes_file_only(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, _ = run(["inner", "--k", "2", "--z", "0.5", "--zp", "0.5",

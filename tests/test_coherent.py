@@ -53,6 +53,19 @@ def test_recursion_matches_closed_form(n, k, cutoff):
     assert np.max(np.abs(by_recursion - closed)) <= 1e-13 * np.max(closed)
 
 
+@pytest.mark.parametrize("n,k,cutoff", [(1, 0.5, 22), (1, 3.7, 6), (2, 1.5, 22),
+                                        (2, 0.2, 4), (3, 2.0, 3), (3, 2.5, 22)])
+def test_coefficients_array_is_coefficient(n, k, cutoff):
+    """The array of every C_n has the bits of the closed form state by
+    state, and matches the one-step recursion to rounding."""
+    space = fock.rep_space(n, k, cutoff)
+    closed = np.array([coherent.coefficient(state, k) for state in space.occ])
+    array = coherent.coefficients(space)
+    assert array.tobytes() == closed.tobytes()
+    by_recursion = coherent.coefficients_by_recursion(space)
+    assert np.max(np.abs(array - by_recursion) / array) <= 1e-14
+
+
 def test_f_series_frozen_values():
     assert coherent.f_series(1.5, [2.3]) == pytest.approx(F1_1P5_2P3, rel=1e-13)
     assert coherent.f_series(3.0, [1.0, 2.0]) == pytest.approx(F2_3_12, rel=1e-13)
@@ -108,6 +121,18 @@ def test_f_series_is_the_vector_kernel(k, w):
     for bit at the same summed argument, real or complex."""
     s = np.sum(np.asarray(w))
     assert coherent.f_series(k, w) == coherent._f_series_vec(k, np.array([s]))[0]
+
+
+@pytest.mark.parametrize("lanes", [1, 64, 1000])
+@pytest.mark.parametrize("s", [-100.0 + 30.0j, -400.0 + 1e-3j, 2.3 - 0.7j, 35.0 + 40.0j])
+def test_f_series_is_every_lane_of_a_batch(lanes, s):
+    """A lone complex argument and a batch of 1, 64 or 1000 copies of it
+    give the same bits: numpy's one-element and vector complex loops must
+    round alike, near the negative axis too, where the shells cancel.
+    (Lanes of different arguments can differ in their last bits, since a
+    batch runs until its slowest lane has converged.)"""
+    batch = coherent._f_series_vec(1.5, np.full(lanes, s))
+    assert batch.tobytes() == np.full(lanes, coherent.f_series(1.5, [s])).tobytes()
 
 
 @given(st.floats(min_value=0.05, max_value=8.0),

@@ -2,6 +2,7 @@
 half-integer reductions, and cross-identities."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -257,6 +258,24 @@ def test_bessel_k_large_order_overflow_is_overflow():
     assert oracles.mp.log(oracles.bessel_k_mp(50.0, 1e-5)) > 709.8
     with pytest.raises(OverflowError, match=r"^bessel_k\(50\.0, 1e-05\) exceeds double range$"):
         specfun.bessel_k(50.0, 1e-5)
+
+
+@pytest.mark.parametrize("nu,x", [(49.0, 1.798851581140151e-05),
+                                  (-8.25, 2.3799287730840153e-37)])
+def test_bessel_k_finite_up_to_the_double_limit(nu, x):
+    """log K is 709.31 and 709.77 here (mpmath), above 709 but below the
+    log of the largest double: K is a finite double, by quadrature at the
+    first point and by the small-argument form at the second."""
+    expected = oracles.bessel_k_mp(nu, x)
+    assert 709.0 < oracles.mp.log(expected) < math.log(sys.float_info.max)
+    assert specfun.bessel_k(nu, x) == pytest.approx(float(expected), rel=1e-13)
+
+
+def test_beta_finite_up_to_the_double_limit():
+    """B(p, 1) = 1/p, whose log is 709.2 at p = 1e-308."""
+    assert specfun.beta(1e-308, 1.0) == pytest.approx(1e308, rel=1e-13)
+    with pytest.raises(OverflowError, match=r"exceeds double range"):
+        specfun.beta(1e-309, 1.0)
 
 
 def test_bessel_k_large_argument_accuracy():
