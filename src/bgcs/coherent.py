@@ -95,7 +95,8 @@ def state_vector(z, space):
         raise ValueError(f"label must have {space.n} components, got shape {z.shape}")
     if not np.all(np.isfinite(z)):
         raise ValueError("label components must be finite")
-    return coefficients(space) * np.prod(z**space.occ, axis=1)
+    coeffs = np.array([coefficient(state, space.k) for state in space.occ.tolist()])
+    return coeffs * np.prod(z**space.occ, axis=1)
 
 
 def eigen_residual(z, space, alpha):
@@ -125,7 +126,7 @@ def _shell_sum(k, s, tol, max_shells, weights=None):
     zero).  OverflowError if any lane leaves double range, else
     ConvergenceError at `max_shells`.
 
-    With `weights` (indexable by shell, d = 0..max_shells) the sum is
+    With `weights` (one per shell, d = 0..max_shells) the sum is
     sum_d weights[d] shell_d instead, and the weighted term is what the
     convergence test reads.
 
@@ -185,8 +186,8 @@ def f_series(k, w, tol=SHELL_TOL, max_shells=MAX_SHELLS):
 
 def _f_series_vec(k, s, tol=SHELL_TOL, max_shells=MAX_SHELLS, weights=None):
     """F over an array of (already summed) arguments s; the hot path of the
-    Monte Carlo and quadrature trace evaluations.  `weights` (indexable by
-    shell, d = 0..max_shells) weights shell d by weights[d], as in _shell_sum."""
+    Monte Carlo and quadrature trace evaluations.  `weights` (length
+    max_shells + 1) weights shell d by weights[d], as in _shell_sum."""
     s = np.asarray(s, dtype=complex if np.iscomplexobj(s) else float)
     return _shell_sum(k, s, tol, max_shells, weights)
 

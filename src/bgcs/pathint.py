@@ -65,7 +65,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import fock, mc, measure
-from .coherent import _f_series_vec, coefficients, f_series
+from .coherent import MAX_SHELLS, _f_series_vec, coefficients, f_series
 from .quadrature import de_halfline, gauss_legendre_01
 from .specfun import _bessel_k_vec, bessel_i, gamma
 
@@ -248,26 +248,6 @@ def _angular_grid(t):
     return t @ frac.T, grid_w
 
 
-class _AngularMoments:
-    """The moments m_d = sum_j w_j r_j^d of an angular grid (weights w_j,
-    ratios r_j = g_j / g_max), indexable by shell d and summed only as deep
-    as a shell pass has read them.  The weighted passes of a kernel trace
-    stop after 78-407 shells, and at N = 4 each moment is a sum over 64^3
-    points, so a table summed to coherent.MAX_SHELLS in advance is mostly
-    waste."""
-
-    def __init__(self, ratio, grid_w):
-        self._ratio = ratio
-        self._scaled = grid_w.copy()  # w_j r_j^d for the next d
-        self._moments = []
-
-    def __getitem__(self, d):
-        while len(self._moments) <= d:
-            self._moments.append(self._scaled.sum())
-            self._scaled *= self._ratio
-        return self._moments[d]
-
-
 def _kernel_quadrature(hp, k, beta, tol):
     """int dmu <z|e^{-beta H}|z> via the simplex substitution: Gauss-Legendre
     over the bounded xi variables, double-exponential over xi_1 = R.
@@ -278,17 +258,21 @@ def _kernel_quadrature(hp, k, beta, tol):
         m_d = sum_j w_j (g_j / g_max)^d,
 
     with every term positive, so the moments m_d are summed once per call
-    (as deep as the shell passes read them) and each radial node x runs one
-    weighted shell pass instead of one per grid point.  The m_d are taken
-    from the quadrature grid on purpose: the closed-form moments of g,
-    d! (N-1)! / (N-1+d)! h_d(t), would turn this route into the spectral
-    trace's product formula, and the kernel-vs-spectral check would then
-    compare that formula with itself.
+    and each radial node x runs one weighted shell pass instead of one per
+    grid point.  The m_d are taken from the quadrature grid on purpose: the
+    closed-form moments of g, d! (N-1)! / (N-1+d)! h_d(t), would turn this
+    route into the spectral trace's product formula, and the
+    kernel-vs-spectral check would then compare that formula with itself.
     """
     n = hp.n
     g, grid_w = _angular_grid(np.exp(-beta * hp.mu))
     g_max = float(np.max(g))
-    moments = _AngularMoments(g / g_max, grid_w)
+    ratio = g / g_max
+    moments = np.empty(MAX_SHELLS + 1)
+    scaled = grid_w.copy()
+    for d in range(MAX_SHELLS + 1):
+        moments[d] = scaled.sum()
+        scaled *= ratio
     norm = 2.0 / gamma(k)
     power = 0.5 * (k + n) - 1.0
 

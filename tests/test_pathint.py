@@ -156,36 +156,6 @@ def test_kernel_moment_form_is_the_grid_sum(monkeypatch, n, k, beta):
         assert np.max(np.abs(got - reference) / reference) <= 1e-15
 
 
-@pytest.mark.parametrize("n,k,beta", [(1, 2.5, 0.5), (2, 1.0, 0.5), (3, 3.5, 0.5),
-                                      (4, 4.5, 2.0)])
-def test_kernel_moments_summed_on_demand_equal_the_full_table(monkeypatch, n, k, beta):
-    """The moment table grows only as deep as the shell passes read it, and
-    the trace it gives equals, bit for bit, the trace from a table summed
-    to MAX_SHELLS in advance."""
-    hp = pathint.HamiltonianParams.from_mu(KERNEL_MU[n], c_last=0.3)
-    tables = []
-
-    class Recorded(pathint._AngularMoments):
-        def __init__(self, *args):
-            super().__init__(*args)
-            tables.append(self)
-
-    def full_table(ratio, grid_w):
-        moments = np.empty(coherent.MAX_SHELLS + 1)
-        scaled = grid_w.copy()
-        for d in range(coherent.MAX_SHELLS + 1):
-            moments[d] = scaled.sum()
-            scaled *= ratio
-        return moments
-
-    monkeypatch.setattr(pathint, "_AngularMoments", Recorded)
-    lazy = pathint.exact_kernel_trace(hp, k, beta, mode="quadrature")
-    monkeypatch.setattr(pathint, "_AngularMoments", full_table)
-    full = pathint.exact_kernel_trace(hp, k, beta, mode="quadrature")
-    assert (lazy.value, lazy.error) == (full.value, full.error)
-    assert len(tables) == 1 and len(tables[0]._moments) < coherent.MAX_SHELLS
-
-
 def test_kernel_trace_quadrature_refuses_n5_before_building_the_grid(monkeypatch):
     """Above N = 4 quadrature mode raises, naming the grid, before it builds
     anything; Monte Carlo mode still runs there."""
