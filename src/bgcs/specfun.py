@@ -27,8 +27,11 @@ arguments rather than generality:
   by the curvature hypot(x, nu) at the peak, is accurate to rounding: no
   refinement, 37-111 nodes (66 on average) for x in [1e-3, 300].  The substitution also
   makes the symmetry K_nu = K_{-nu} manifest (w -> -w).  One kernel serves
-  every caller: it takes an array of x and sums up to 64 points at once,
-  each over its own nodes; bessel_k is that kernel on one point.  Where x
+  every caller: it takes an array of x and sums up to 256 points in one
+  pass of a few numpy operations over all their nodes, each point over its
+  own nodes in its own order, so no bit depends on the batch.  (numpy sums
+  a lone column pairwise, not in order, so a one-point pass is padded to
+  two columns.)  bessel_k is that kernel on one point.  Where x
   is so small that the terms dropped from
 
       K_nu(x) ~ Gamma(|nu|)/2 (2/x)^|nu|        (DLMF 10.30.2)
@@ -58,7 +61,7 @@ _SMALL_X_TOL = 1e-16  # relative size of the terms the small-x form of K drops
 _K_STEP = 0.4  # trapezoid step times sqrt(|phi''(w*)|), see _bessel_k_log_quad
 _K_STEP_MAX = 0.2  # and the step's cap where |phi''(w*)| is small
 _K_GAP = 1e-5  # largest relative gap between the sums at steps h and 2h
-_LANE_BLOCK = 64  # Bessel-K points per kernel pass
+_LANE_BLOCK = 256  # Bessel-K points per kernel pass
 
 
 def _check_finite_real(name, value):
@@ -200,43 +203,66 @@ def _bessel_k_log_quad(nu, x):
     2.7e-17 (at nu = 4, where the two bounds meet).  Each point takes an
     even number of nodes, so every other node is the rule at step 2h; the
     gap between the two sums is the self-check, 1.6e-7 at most on the scan
-    bessel_k cites, against _K_GAP = 1e-5.  Each point sums its own nodes
-    in order, so its bits do not depend on the batch.
+    bessel_k cites, against _K_GAP = 1e-5.
+
+    Bits.  Each point's nodes and the order of its sum do not depend on
+    the batch.  All points' nodes form one flat array, and the values go
+    node-major into a zero-padded matrix whose column sums add row after
+    row, node 0 first.  A reduction over one column would take numpy's
+    pairwise sum instead, so a lone point is padded to two columns.
     """
+    size = x.size
     w_star = -np.array([math.asinh(r) for r in (nu / x).tolist()])
     peak = -nu * w_star - x * np.array([math.cosh(w) for w in w_star.tolist()])
 
-    def edge(step):
-        """w* + step + step + ..., up to the first point where phi is not
-        above peak - _K_DROP, trying the steps in chunks of doubling length."""
-        w = np.empty_like(x)
-        live = np.arange(x.size)
-        last = w_star.copy()
-        chunk = 16
-        while live.size:
-            trial = np.full((live.size, chunk + 1), step)
-            trial[:, 0] = last[live]
-            trial = trial.cumsum(axis=1)[:, 1:]
-            out = ~(-nu * trial - x[live, None] * np.cosh(trial) > peak[live, None] - _K_DROP)
-            hit = out.any(axis=1)
-            w[live[hit]] = trial[hit, np.argmax(out[hit], axis=1)]
-            last[live] = trial[:, -1]
-            live = live[~hit]
-            chunk *= 2
-        return w
+    # both edges in one march: lanes [0, size) step -1, [size, 2 size) +1;
+    # each lane reaches w* + step + step + ... in sequence, trying the
+    # steps in chunks of doubling length until phi is not above
+    # peak - _K_DROP
+    steps = np.repeat([-1.0, 1.0], size)
+    lane_x = np.concatenate((x, x))
+    floor = np.concatenate((peak, peak)) - _K_DROP
+    edges = np.empty(2 * size)
+    live = np.arange(2 * size)
+    last = np.concatenate((w_star, w_star))
+    chunk = 16
+    while live.size:
+        trial = np.empty((live.size, chunk + 1))
+        trial[:, 0] = last[live]
+        trial[:, 1:] = steps[live, None]
+        trial = trial.cumsum(axis=1)[:, 1:]
+        out = ~(-nu * trial - lane_x[live, None] * np.cosh(trial) > floor[live, None])
+        hit = out.any(axis=1)
+        edges[live[hit]] = trial[hit, np.argmax(out[hit], axis=1)]
+        last[live] = trial[:, -1]
+        live = live[~hit]
+        chunk *= 2
+    lo, hi = edges[:size], edges[size:]
 
-    lo, hi = edge(-1.0), edge(1.0)
     width = np.where(np.isfinite(hi - lo), hi - lo, 0.0)  # nan where nu/x overflows
     step = np.minimum(_K_STEP_MAX, _K_STEP / np.sqrt(np.hypot(x, nu)))
     n = 2 * np.ceil(0.5 * width / step).astype(int)
     h = width / n
-    i, j = np.nonzero(np.arange(n.max() + 1) <= n[:, None])
-    w = lo[i] + h[i] * j
-    vals = np.zeros((x.size, n.max() + 1))
-    vals[i, j] = np.exp(-nu * w - x[i] * np.cosh(w) - peak[i])
-    rows = np.arange(x.size)
-    t_h = h * vals.cumsum(axis=1)[rows, n]
-    t_2h = 2.0 * h * vals[:, ::2].cumsum(axis=1)[rows, n // 2]
+    # flat nodes: point p owns n[p] + 1 consecutive slots, j = 0..n[p]
+    count = n + 1
+    total = int(count.sum())
+    j = np.arange(total)
+    j -= np.repeat(np.cumsum(count) - count, count)
+    w = np.repeat(h, count) * j
+    w += np.repeat(lo, count)
+    phi = np.cosh(w)
+    phi *= np.repeat(x, count)
+    w *= -nu
+    np.subtract(w, phi, out=phi)
+    phi -= np.repeat(peak, count)
+    np.exp(phi, out=phi)
+    cols = max(size, 2)
+    j *= cols
+    j += np.repeat(np.arange(size), count)
+    vals = np.zeros((n.max() + 1, cols))
+    vals.ravel()[j] = phi
+    t_h = h * vals.sum(axis=0)[:size]
+    t_2h = 2.0 * h * vals[::2].sum(axis=0)[:size]
     return peak + np.log(0.5 * t_h), np.abs(t_h - t_2h) / t_h
 
 
@@ -248,14 +274,19 @@ def _bessel_k_block(nu, x):
     valid = np.isfinite(x) & (x > 0.0)
     small = valid & (x < _small_x_limit(a))
     quad = valid & ~small
-    log_val = np.zeros_like(x)
-    unresolved = np.zeros(x.shape, dtype=bool)
-    if small.any():
-        log_val[small] = math.lgamma(a) - _LOG2 + a * (_LOG2 - np.log(x[small]))
-    if quad.any():
+    if x.size and quad.all():
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            log_val[quad], gap = _bessel_k_log_quad(nu, x[quad])
-        unresolved[quad] = ~(gap <= _K_GAP)  # nan too
+            log_val, gap = _bessel_k_log_quad(nu, x)
+        unresolved = ~(gap <= _K_GAP)  # nan too
+    else:
+        log_val = np.zeros_like(x)
+        unresolved = np.zeros(x.shape, dtype=bool)
+        if small.any():
+            log_val[small] = math.lgamma(a) - _LOG2 + a * (_LOG2 - np.log(x[small]))
+        if quad.any():
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                log_val[quad], gap = _bessel_k_log_quad(nu, x[quad])
+            unresolved[quad] = ~(gap <= _K_GAP)
     with np.errstate(over="ignore"):
         val = np.exp(log_val)
     failed = ~valid | unresolved | ~np.isfinite(val)
@@ -295,6 +326,8 @@ def _bessel_k_vec(nu, x):
     lowest-index failing point."""
     nu = _check_finite_real("nu", nu)
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.size <= _LANE_BLOCK:
+        return _bessel_k_block(nu, x)
     out = np.empty_like(x)
     for start in range(0, x.size, _LANE_BLOCK):
         out[start:start + _LANE_BLOCK] = _bessel_k_block(nu, x[start:start + _LANE_BLOCK])

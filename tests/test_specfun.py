@@ -153,14 +153,71 @@ def test_bessel_k_convergence_error_text():
         "bessel_k(-1.4038079065171498, 3.612024814854264e-251) exceeds double range")
 
 
-@settings(max_examples=15)
+@settings(max_examples=15, deadline=None)
 @given(st.floats(min_value=-6.0, max_value=6.0),
-       st.lists(st.floats(min_value=-20.0, max_value=2.5), min_size=65, max_size=200))
+       st.lists(st.floats(min_value=-20.0, max_value=2.5), min_size=257, max_size=800))
 def test_bessel_k_vec_is_bessel_k_lane_by_lane(nu, log10_xs):
     """Batches of several lane blocks give every point the bits of a
     one-point call, on both sides of the small-argument form."""
+    assert specfun._LANE_BLOCK < 257
     xs = [10.0**e for e in log10_xs]
     assert specfun._bessel_k_vec(nu, xs).tolist() == [specfun.bessel_k(nu, x) for x in xs]
+
+
+def _reference_log_quad(nu, x):
+    """specfun._bessel_k_log_quad as it was before its nodes went flat:
+    one edge march per direction, a point-major padded matrix and
+    cumsum along each row.  Kept verbatim as the bit-for-bit reference."""
+    w_star = -np.array([math.asinh(r) for r in (nu / x).tolist()])
+    peak = -nu * w_star - x * np.array([math.cosh(w) for w in w_star.tolist()])
+
+    def edge(step):
+        w = np.empty_like(x)
+        live = np.arange(x.size)
+        last = w_star.copy()
+        chunk = 16
+        while live.size:
+            trial = np.full((live.size, chunk + 1), step)
+            trial[:, 0] = last[live]
+            trial = trial.cumsum(axis=1)[:, 1:]
+            out = ~(-nu * trial - x[live, None] * np.cosh(trial)
+                    > peak[live, None] - specfun._K_DROP)
+            hit = out.any(axis=1)
+            w[live[hit]] = trial[hit, np.argmax(out[hit], axis=1)]
+            last[live] = trial[:, -1]
+            live = live[~hit]
+            chunk *= 2
+        return w
+
+    lo, hi = edge(-1.0), edge(1.0)
+    width = np.where(np.isfinite(hi - lo), hi - lo, 0.0)
+    step = np.minimum(specfun._K_STEP_MAX, specfun._K_STEP / np.sqrt(np.hypot(x, nu)))
+    n = 2 * np.ceil(0.5 * width / step).astype(int)
+    h = width / n
+    i, j = np.nonzero(np.arange(n.max() + 1) <= n[:, None])
+    w = lo[i] + h[i] * j
+    vals = np.zeros((x.size, n.max() + 1))
+    vals[i, j] = np.exp(-nu * w - x[i] * np.cosh(w) - peak[i])
+    rows = np.arange(x.size)
+    t_h = h * vals.cumsum(axis=1)[rows, n]
+    t_2h = 2.0 * h * vals[:, ::2].cumsum(axis=1)[rows, n // 2]
+    return peak + np.log(0.5 * t_h), np.abs(t_h - t_2h) / t_h
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=-50.0, max_value=50.0),
+       st.lists(st.floats(min_value=-20.0, max_value=math.log10(700.0)),
+                min_size=1, max_size=600))
+def test_bessel_k_log_quad_matches_the_reference_bit_for_bit(nu, log10_xs):
+    """The flat-node kernel gives every point the log K and self-check gap
+    of the row-by-row reference, one-point batches included, where a
+    one-column sum would be pairwise."""
+    x = np.array([10.0**e for e in log10_xs])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        got = specfun._bessel_k_log_quad(nu, x)
+        want = _reference_log_quad(nu, x)
+    for g, r in zip(got, want):
+        assert g.tobytes() == r.tobytes()
 
 
 def _first_error(nu, xs):
@@ -186,6 +243,7 @@ OVERFLOW_X = 3.612024814854264e-251  # overflows at nu = -1.4038...
     ([2.0] * 3 + [0.0, OVERFLOW_X], ValueError),
     ([float("nan")] + [1.0] * 80 + [-1.0], ValueError),
     ([0.5] * 130 + [-2.0, OVERFLOW_X], ValueError),
+    ([0.5] * 300 + [OVERFLOW_X, -2.0], OverflowError),
 ])
 def test_bessel_k_vec_raises_the_lowest_failing_points_error(xs, kind):
     nu = -1.4038079065171498
@@ -196,6 +254,7 @@ def test_bessel_k_vec_raises_the_lowest_failing_points_error(xs, kind):
 @pytest.mark.parametrize("xs,kind", [
     ([5.0] * 66 + [0.57] + [1e-300] * 3, specfun.ConvergenceError),
     ([5.0] * 10 + [1e-300, 0.57], OverflowError),
+    ([5.0] * 260 + [0.57] + [1e-300] * 3, specfun.ConvergenceError),
 ])
 def test_bessel_k_vec_raises_the_lowest_stalled_points_error(monkeypatch, xs, kind):
     """With the self-check's bound between the gaps at x = 5 and x = 0.57,
