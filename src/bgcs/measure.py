@@ -49,7 +49,7 @@ import numpy as np
 
 from . import coherent, fock, mc
 from .quadrature import de_halfline, power_integral_01, tanh_sinh
-from .specfun import _bessel_k_vec, bessel_k, gamma, log_gamma
+from .specfun import _bessel_k_log_vec, bessel_k, gamma, log_gamma
 
 QUAD_TOL = 1e-11
 
@@ -94,14 +94,16 @@ def density(model, r):
 
 def total_radius_density(model, big_r):
     """Density of R = sum r_a under dmu (vectorized over big_r):
-    f(R) = 2 R^((K+N)/2 - 1) K_{K-N}(2 sqrt R) / (Gamma(K) Gamma(N))."""
+    f(R) = 2 R^((K+N)/2 - 1) K_{K-N}(2 sqrt R) / (Gamma(K) Gamma(N)),
+    formed as exp of a sum of logs: at small R and K < N the power
+    vanishes while K_{K-N} leaves double range, and their product does not."""
     big_r = np.atleast_1d(np.asarray(big_r, dtype=float))
     if np.any(big_r <= 0.0):
         raise ValueError("need R > 0")
     nu = model.k - model.n
     log_norm = math.log(2.0) - log_gamma(model.k) - log_gamma(model.n)
-    vals = _bessel_k_vec(nu, 2.0 * np.sqrt(big_r))
-    return np.exp(log_norm + (0.5 * (model.k + model.n) - 1.0) * np.log(big_r)) * vals
+    log_k = _bessel_k_log_vec(nu, 2.0 * np.sqrt(big_r))
+    return np.exp(log_norm + (0.5 * (model.k + model.n) - 1.0) * np.log(big_r) + log_k)
 
 
 def radial_cdf(model, q, tol=QUAD_TOL):
@@ -145,7 +147,7 @@ def _halfline_bessel_factor(c, nu, tol):
         raise ValueError(f"half-line factor needs c > |nu|/2, got c={c}, nu={nu}")
 
     def f(x):
-        return x ** (c - 1.0) * _bessel_k_vec(nu, 2.0 * np.sqrt(x))
+        return np.exp((c - 1.0) * np.log(x) + _bessel_k_log_vec(nu, 2.0 * np.sqrt(x)))
 
     value, _ = de_halfline(f, c_eff, ("sqrt", 2.0), tol=tol, growth=c - 1.25)
     return value
@@ -224,7 +226,7 @@ def verify_formula_b(mu, nu, a, tol=QUAD_TOL):
         raise ValueError(f"need mu > |nu| for convergence, got mu={mu}, nu={nu}")
 
     def f(x):
-        return x ** (mu - 1.0) * _bessel_k_vec(nu, a * x)
+        return np.exp((mu - 1.0) * np.log(x) + _bessel_k_log_vec(nu, a * x))
 
     lhs, _ = de_halfline(f, mu - abs(nu), ("lin", a), tol=tol, growth=mu - 1.5)
     rhs = math.exp(

@@ -31,7 +31,8 @@ arguments rather than generality:
   pass of a few numpy operations over all their nodes, each point over its
   own nodes in its own order, so no bit depends on the batch.  (numpy sums
   a lone column pairwise, not in order, so a one-point pass is padded to
-  two columns.)  bessel_k is that kernel on one point.  Where x
+  two columns.)  bessel_k is that kernel on one point; _bessel_k_log_vec
+  returns its log K, finite where K itself leaves double range.  Where x
   is so small that the terms dropped from
 
       K_nu(x) ~ Gamma(|nu|)/2 (2/x)^|nu|        (DLMF 10.30.2)
@@ -266,9 +267,10 @@ def _bessel_k_log_quad(nu, x):
     return peak + np.log(0.5 * t_h), np.abs(t_h - t_2h) / t_h
 
 
-def _bessel_k_block(nu, x):
-    """K_nu at every point of x (1-D), or the error bessel_k raises at the
-    lowest-index point where it fails.  Points below _small_x_limit take the
+def _bessel_k_block(nu, x, log):
+    """log K_nu (log true) or K_nu at every point of x (1-D), or the error
+    bessel_k raises at the lowest-index point where it fails; the log
+    values raise no OverflowError.  Points below _small_x_limit take the
     leading term of DLMF 10.30.2, the rest one trapezoid sum each."""
     a = abs(nu)
     valid = np.isfinite(x) & (x > 0.0)
@@ -287,8 +289,11 @@ def _bessel_k_block(nu, x):
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 log_val[quad], gap = _bessel_k_log_quad(nu, x[quad])
             unresolved[quad] = ~(gap <= _K_GAP)
-    with np.errstate(over="ignore"):
-        val = np.exp(log_val)
+    if log:
+        val = log_val
+    else:
+        with np.errstate(over="ignore"):
+            val = np.exp(log_val)
     failed = ~valid | unresolved | ~np.isfinite(val)
     if failed.any():
         i = np.argmax(failed)
@@ -319,16 +324,28 @@ def bessel_k(nu, x):
     return float(_bessel_k_vec(nu, [x])[0])
 
 
-def _bessel_k_vec(nu, x):
-    """bessel_k(nu, .) at every point of x, as a float array, in blocks of
-    _LANE_BLOCK points to bound the working set.  Each value has the bits
-    bessel_k gives alone, and a failure raises bessel_k's error for the
-    lowest-index failing point."""
+def _bessel_k_blocks(nu, x, log):
     nu = _check_finite_real("nu", nu)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size <= _LANE_BLOCK:
-        return _bessel_k_block(nu, x)
+        return _bessel_k_block(nu, x, log)
     out = np.empty_like(x)
     for start in range(0, x.size, _LANE_BLOCK):
-        out[start:start + _LANE_BLOCK] = _bessel_k_block(nu, x[start:start + _LANE_BLOCK])
+        out[start:start + _LANE_BLOCK] = _bessel_k_block(nu, x[start:start + _LANE_BLOCK], log)
     return out
+
+
+def _bessel_k_log_vec(nu, x):
+    """log K_nu at every point of x, as a float array, in blocks of
+    _LANE_BLOCK points to bound the working set.  bessel_k's errors for
+    the lowest-index failing point, except that a K beyond the largest
+    double is no error here: a power times K is then exp of a sum of logs."""
+    return _bessel_k_blocks(nu, x, True)
+
+
+def _bessel_k_vec(nu, x):
+    """bessel_k(nu, .) at every point of x: exp of _bessel_k_log_vec, and
+    OverflowError where that leaves double range.  Each value has the bits
+    bessel_k gives alone, and a failure raises bessel_k's error for the
+    lowest-index failing point."""
+    return _bessel_k_blocks(nu, x, False)

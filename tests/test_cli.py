@@ -161,6 +161,18 @@ def test_sample_small_argument_bessel_runs(n, k):
     assert json.loads(done.stdout)["passed"] is True
 
 
+def test_sample_where_k_leaves_double_range_runs():
+    """At N = 3, K = 0.1 the CDF rows reach K_{-2.9} at arguments near
+    1e-120, beyond the largest double; the density forms R^p K as a sum of
+    logs, so the report comes out whole."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bgcs.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-m", "bgcs", "sample", "--n", "3", "--k", "0.1",
+                           "--budget", "1000"], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["rows"]
+
+
 def test_tolerance_breach_exit_2(capsys):
     code, out, _ = run(["measure-check", "--n", "1", "--k", "1", "--occ", "2",
                         "--tol", "1e-18"], capsys)

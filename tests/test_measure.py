@@ -11,7 +11,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgcs import mc, measure
+from bgcs import mc, measure, specfun
 
 HALF_PI_ROOT2 = 2.2214414690791831  # (1/4) 2 Gamma(3/4) Gamma(1/4) = pi/sqrt(2) * ...
 
@@ -138,6 +138,29 @@ def test_radial_cdf_reaches_the_small_argument_bessel_form(n, k):
     assert value == pytest.approx(SMALL_ARGUMENT_CDFS[n, k], rel=1e-12)
 
 
+# frozen via tests/oracles.py radial_cdf(3, K, 0.21) (mpmath, 50 digits)
+N3_CDFS = {
+    0.05: 0.9032900345159526612285224874,
+    0.1: 0.8137989606867771358189638521,
+    0.3: 0.5244939454197919498323917139,
+}
+
+
+def test_radial_cdf_scans_small_k_at_n3():
+    """At N = 3 and K <= 0.11 the nodes reach K_{K-3}(2 sqrt R) beyond the
+    largest double while R^((K+3)/2 - 1) K_{K-3} stays finite: the density
+    adds logs, so the whole scan K = 0.05, 0.055, ..., 0.40 runs cleanly."""
+    with pytest.raises(OverflowError, match="exceeds double range"):
+        specfun.bessel_k(-2.95, 5.261349121240741e-130)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = {k: measure.radial_cdf(measure.MeasureModel(3, k), 0.21)
+                  for k in (round(0.05 + 0.005 * i, 3) for i in range(71))}
+    for k, expected in N3_CDFS.items():
+        assert values[k] == pytest.approx(expected, rel=1e-12)
+    assert all(0.0 < v < 1.0 for v in values.values())
+
+
 def test_radial_cdf_rejects_tiny_strength():
     """Below min(K, N) = 0.05 the mass under the smallest node, ~e^(-744 K),
     exceeds the tolerance: raise rather than clamp the window."""
@@ -194,6 +217,19 @@ def test_formula_b_listed_instances():
         measure.verify_formula_b(0.5, 1.0, 1.0)
     with pytest.raises(ValueError):
         measure.verify_formula_b(2.0, 0.0, -1.0)
+
+
+@pytest.mark.parametrize("mu,nu,a,x_min", [
+    (1.5089046745779426, -1.4038079065171498, 1.7950913283344474, 3.612024814854264e-251),
+    (1.8105618174126987, -1.6991555527423823, 1.3799663847105925, 3.2428606457202286e-237),
+])
+def test_formula_b_where_k_leaves_double_range(mu, nu, a, x_min):
+    """Two seeded formula-b draws whose half-line nodes reach a x = x_min,
+    where K_nu exceeds the largest double but x^(mu-1) K_nu(a x) does not:
+    the integrand adds logs, and the identity holds to rounding."""
+    with pytest.raises(OverflowError, match="exceeds double range"):
+        specfun.bessel_k(nu, x_min)
+    assert measure.verify_formula_b(mu, nu, a).rel_err <= 1e-13
 
 
 @pytest.mark.parametrize("k,s", [(1.0, 0.0), (0.5, 0.5), (2.5, 1.25), (0.75, -0.25)])

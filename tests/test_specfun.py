@@ -266,6 +266,22 @@ def test_bessel_k_vec_raises_the_lowest_stalled_points_error(monkeypatch, xs, ki
     assert _first_error(32.9, xs)[0] is kind
 
 
+def test_bessel_k_log_vec_is_the_log_of_bessel_k_vec():
+    """_bessel_k_vec is exp of the log kernel, bit for bit; the log kernel
+    stays finite where K leaves double range (mpmath: log K = 809.69 at
+    OVERFLOW_X) and raises bessel_k's other errors."""
+    nu = -1.4038079065171498
+    xs = np.geomspace(1e-200, 600.0, 300)
+    log_k = specfun._bessel_k_log_vec(nu, xs)
+    assert np.exp(log_k).tobytes() == specfun._bessel_k_vec(nu, xs).tobytes()
+    expected = float(oracles.mp.log(oracles.bessel_k_mp(nu, OVERFLOW_X)))
+    assert specfun._bessel_k_log_vec(nu, [OVERFLOW_X])[0] == pytest.approx(expected, rel=1e-14)
+    with pytest.raises(ValueError, match=r"^bessel_k requires x > 0, got 0\.0$"):
+        specfun._bessel_k_log_vec(nu, [OVERFLOW_X, 0.0])
+    with pytest.raises(ValueError, match=r"^x must be finite, got nan$"):
+        specfun._bessel_k_log_vec(nu, [5.0] * 300 + [float("nan")])
+
+
 BOX_NUS = (-5.0, -3.3, -1.0, -0.4, 0.0, 0.3, 1.0, 1.9, 2.5, 3.7, 4.5, 5.0)
 
 
