@@ -276,19 +276,14 @@ def _bessel_k_block(nu, x, log):
     valid = np.isfinite(x) & (x > 0.0)
     small = valid & (x < _small_x_limit(a))
     quad = valid & ~small
-    if x.size and quad.all():
+    log_val = np.zeros_like(x)
+    unresolved = np.zeros(x.shape, dtype=bool)
+    if small.any():
+        log_val[small] = math.lgamma(a) - _LOG2 + a * (_LOG2 - np.log(x[small]))
+    if quad.any():
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            log_val, gap = _bessel_k_log_quad(nu, x)
-        unresolved = ~(gap <= _K_GAP)  # nan too
-    else:
-        log_val = np.zeros_like(x)
-        unresolved = np.zeros(x.shape, dtype=bool)
-        if small.any():
-            log_val[small] = math.lgamma(a) - _LOG2 + a * (_LOG2 - np.log(x[small]))
-        if quad.any():
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                log_val[quad], gap = _bessel_k_log_quad(nu, x[quad])
-            unresolved[quad] = ~(gap <= _K_GAP)
+            log_val[quad], gap = _bessel_k_log_quad(nu, x[quad])
+        unresolved[quad] = ~(gap <= _K_GAP)  # nan too
     if log:
         val = log_val
     else:
@@ -325,10 +320,9 @@ def bessel_k(nu, x):
 
 
 def _bessel_k_blocks(nu, x, log):
+    """_bessel_k_block over x in slices of _LANE_BLOCK points."""
     nu = _check_finite_real("nu", nu)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.size <= _LANE_BLOCK:
-        return _bessel_k_block(nu, x, log)
     out = np.empty_like(x)
     for start in range(0, x.size, _LANE_BLOCK):
         out[start:start + _LANE_BLOCK] = _bessel_k_block(nu, x[start:start + _LANE_BLOCK], log)
