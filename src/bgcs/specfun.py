@@ -27,13 +27,14 @@ arguments rather than generality:
   by the curvature hypot(x, nu) at the peak, is accurate to rounding: no
   refinement, 37-111 nodes (66 on average) for x in [1e-3, 300].  The substitution also
   makes the symmetry K_nu = K_{-nu} manifest (w -> -w).  One kernel serves
-  every caller: it takes an array of x and sums up to 256 points in one
-  pass of a few numpy operations over all their nodes, each point over its
-  own nodes in its own order, so no bit depends on the batch.  (numpy sums
-  a lone column pairwise, not in order, so a one-point pass is padded to
-  two columns.)  bessel_k is that kernel on one point; _bessel_k_log_vec
-  returns its log K, finite where K itself leaves double range.  Where x
-  is so small that the terms dropped from
+  every caller: it takes an array of x and sums up to 256 points at once,
+  with a few numpy operations over all their nodes (one more pass per
+  _K_CELLS padded nodes), each point over its own nodes in its own order,
+  so no bit depends on the batch.  (numpy sums a lone column pairwise, not
+  in order, so a one-point pass is padded to two columns.)  bessel_k is
+  that kernel on one point; _bessel_k_log_vec returns its log K, finite
+  where K itself leaves double range.  Where x is so small that the terms
+  dropped from
 
       K_nu(x) ~ Gamma(|nu|)/2 (2/x)^|nu|        (DLMF 10.30.2)
 
@@ -62,6 +63,7 @@ _SMALL_X_TOL = 1e-16  # relative size of the terms the small-x form of K drops
 _K_STEP = 0.4  # trapezoid step times sqrt(|phi''(w*)|), see _bessel_k_log_quad
 _K_STEP_MAX = 0.2  # and the step's cap where |phi''(w*)| is small
 _K_GAP = 1e-5  # largest relative gap between the sums at steps h and 2h
+_K_CELLS = 1 << 16  # largest padded node matrix of one trapezoid pass, in doubles
 _LANE_BLOCK = 256  # Bessel-K points per kernel pass
 
 
@@ -176,6 +178,36 @@ def _small_x_limit(a):
     return 2.0 * math.exp(log_z)
 
 
+def _trapezoid_sums(nu, x, peak, lo, h, n):
+    """The trapezoid sums of exp(-nu w - x cosh w - peak) over w = lo + h j,
+    j = 0..n, at steps h and 2h, for every point of x.
+
+    All points' nodes form one flat array, and the values go node-major
+    into a zero-padded matrix whose column sums add row after row, node 0
+    first: each point's sum in its own order, whatever the batch.  A
+    reduction over one column would take numpy's pairwise sum instead, so
+    a lone point is padded to two columns.
+    """
+    size = x.size
+    count = n + 1  # point p owns count[p] consecutive slots, j = 0..n[p]
+    j = np.arange(int(count.sum()))
+    j -= np.repeat(np.cumsum(count) - count, count)
+    w = np.repeat(h, count) * j
+    w += np.repeat(lo, count)
+    phi = np.cosh(w)
+    phi *= np.repeat(x, count)
+    w *= -nu
+    np.subtract(w, phi, out=phi)
+    phi -= np.repeat(peak, count)
+    np.exp(phi, out=phi)
+    cols = max(size, 2)
+    j *= cols
+    j += np.repeat(np.arange(size), count)
+    vals = np.zeros((n.max() + 1, cols))
+    vals.ravel()[j] = phi
+    return h * vals.sum(axis=0)[:size], 2.0 * h * vals[::2].sum(axis=0)[:size]
+
+
 def _bessel_k_log_quad(nu, x):
     """log K_nu(x) at every point of x, by one trapezoid sum of
     exp(-nu w - x cosh w - peak) / 2 per point, and each sum's relative gap
@@ -204,17 +236,13 @@ def _bessel_k_log_quad(nu, x):
     2.7e-17 (at nu = 4, where the two bounds meet).  Each point takes an
     even number of nodes, so every other node is the rule at step 2h; the
     gap between the two sums is the self-check, 1.6e-7 at most on the scan
-    bessel_k cites, against _K_GAP = 1e-5.
-
-    Bits.  Each point's nodes and the order of its sum do not depend on
-    the batch.  All points' nodes form one flat array, and the values go
-    node-major into a zero-padded matrix whose column sums add row after
-    row, node 0 first.  A reduction over one column would take numpy's
-    pairwise sum instead, so a lone point is padded to two columns.
+    bessel_k cites, against _K_GAP = 1e-5.  Each point's nodes and the
+    order of its sum (see _trapezoid_sums) do not depend on the batch, so
+    neither do its bits.
     """
     size = x.size
-    w_star = -np.array([math.asinh(r) for r in (nu / x).tolist()])
-    peak = -nu * w_star - x * np.array([math.cosh(w) for w in w_star.tolist()])
+    w_star = -np.fromiter(map(math.asinh, (nu / x).tolist()), float, size)
+    peak = -nu * w_star - x * np.fromiter(map(math.cosh, w_star.tolist()), float, size)
 
     # both edges in one march: lanes [0, size) step -1, [size, 2 size) +1;
     # each lane reaches w* + step + step + ... in sequence, trying the
@@ -244,26 +272,13 @@ def _bessel_k_log_quad(nu, x):
     step = np.minimum(_K_STEP_MAX, _K_STEP / np.sqrt(np.hypot(x, nu)))
     n = 2 * np.ceil(0.5 * width / step).astype(int)
     h = width / n
-    # flat nodes: point p owns n[p] + 1 consecutive slots, j = 0..n[p]
-    count = n + 1
-    total = int(count.sum())
-    j = np.arange(total)
-    j -= np.repeat(np.cumsum(count) - count, count)
-    w = np.repeat(h, count) * j
-    w += np.repeat(lo, count)
-    phi = np.cosh(w)
-    phi *= np.repeat(x, count)
-    w *= -nu
-    np.subtract(w, phi, out=phi)
-    phi -= np.repeat(peak, count)
-    np.exp(phi, out=phi)
-    cols = max(size, 2)
-    j *= cols
-    j += np.repeat(np.arange(size), count)
-    vals = np.zeros((n.max() + 1, cols))
-    vals.ravel()[j] = phi
-    t_h = h * vals.sum(axis=0)[:size]
-    t_2h = 2.0 * h * vals[::2].sum(axis=0)[:size]
+    # the points in slices whose padded node matrices hold at most _K_CELLS
+    cols = max(1, _K_CELLS // (int(n.max()) + 1))
+    t_h, t_2h = np.empty(size), np.empty(size)
+    for start in range(0, size, cols):
+        part = slice(start, start + cols)
+        t_h[part], t_2h[part] = _trapezoid_sums(nu, x[part], peak[part], lo[part], h[part],
+                                                n[part])
     return peak + np.log(0.5 * t_h), np.abs(t_h - t_2h) / t_h
 
 
