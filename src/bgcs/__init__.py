@@ -17,7 +17,6 @@ from .fock import (
 )
 from .measure import (
     MeasureModel,
-    SimplexQuadScheme,
     density,
     moment_check,
     radial_cdf,

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import coherent, fock, mc
 from .quadrature import de_halfline, power_integral_01, tanh_sinh
-from .specfun import _bessel_k_log_vec, bessel_k, gamma, log_gamma
+from .specfun import _bessel_k_log_vec, gamma, log_gamma
 
 QUAD_TOL = 1e-11
 
@@ -73,7 +73,9 @@ def density(model, r):
 
     At the origin the density is finite only for K > N, where the limit
     is Gamma(K-N) / (pi^N Gamma(K)); for K <= N the origin is an
-    integrable singularity and asking for the value raises.
+    integrable singularity and asking for the value raises.  Elsewhere
+    sigma is exp of a sum of logs, finite where R^((K-N)/2) vanishes and
+    K_{K-N} alone leaves double range; OverflowError where sigma does.
     """
     r = np.asarray(r, dtype=float)
     if r.shape != (model.n,):
@@ -81,7 +83,6 @@ def density(model, r):
     if np.any(r < 0.0):
         raise ValueError("radial components must be nonnegative")
     nu = model.k - model.n
-    norm = 2.0 / (math.pi**model.n * gamma(model.k))
     big_r = float(np.sum(r))
     if big_r == 0.0:
         if nu <= 0.0:
@@ -89,7 +90,13 @@ def density(model, r):
                 f"density is singular at the origin for K <= N (K={model.k}, N={model.n})"
             )
         return gamma(nu) / (math.pi**model.n * gamma(model.k))
-    return norm * big_r ** (0.5 * nu) * bessel_k(nu, 2.0 * math.sqrt(big_r))
+    log_norm = math.log(2.0) - model.n * math.log(math.pi) - log_gamma(model.k)
+    log_k = float(_bessel_k_log_vec(nu, [2.0 * math.sqrt(big_r)])[0])
+    try:
+        return math.exp(log_norm + 0.5 * nu * math.log(big_r) + log_k)
+    except OverflowError:
+        raise OverflowError(f"density at R={big_r} exceeds double range "
+                            f"(K={model.k}, N={model.n})") from None
 
 
 def total_radius_density(model, big_r):
@@ -126,14 +133,6 @@ def radial_cdf(model, q, tol=QUAD_TOL):
 # --- factorized quadrature -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimplexQuadScheme:
-    """Node configuration for the factorized moment quadrature."""
-
-    n_gl: int = 64
-    tol: float = QUAD_TOL
-
-
 @lru_cache(maxsize=4096)
 def _halfline_bessel_factor(c, nu, tol):
     """int_0^oo xi^(c-1) K_nu(2 sqrt xi) dxi by the half-line transform.
@@ -163,12 +162,12 @@ def _bounded_exponents(n, s):
     return pairs
 
 
-def _bessel_moment_lhs(n, k, s, scheme):
+def _bessel_moment_lhs(n, k, s):
     """Formula (A) left side through the xi substitution."""
     total = float(np.sum(s))
-    value = 2.0 * _halfline_bessel_factor(0.5 * (k + n) + total, k - n, scheme.tol)
+    value = 2.0 * _halfline_bessel_factor(0.5 * (k + n) + total, k - n, QUAD_TOL)
     for p, q in _bounded_exponents(n, s):
-        value *= power_integral_01(p, q, tol=scheme.tol, n_gl=scheme.n_gl)
+        value *= power_integral_01(p, q, tol=QUAD_TOL)
     return value
 
 
@@ -195,7 +194,7 @@ class CheckResult:
         }
 
 
-def verify_formula_a(n, k, s, scheme=SimplexQuadScheme()):
+def verify_formula_a(n, k, s):
     """Quadrature-vs-closed-form check of the N-dimensional Bessel moment
     integral (A) at real exponents s_a > -1."""
     s = np.asarray(s, dtype=float).ravel()
@@ -209,7 +208,7 @@ def verify_formula_a(n, k, s, scheme=SimplexQuadScheme()):
     if not total + min(k, n) > 0.0:
         raise ValueError(f"need sum(s) + min(K, N) > 0 for convergence, "
                          f"got sum(s)={total!r}, K={k}, N={n}")
-    lhs = _bessel_moment_lhs(n, k, s, scheme)
+    lhs = _bessel_moment_lhs(n, k, s)
     rhs = math.exp(sum(log_gamma(v + 1.0) for v in s) + log_gamma(k + total))
     return CheckResult(
         "formula_a", {"n": int(n), "k": float(k), "s": s.tolist()}, float(lhs), rhs
@@ -238,14 +237,14 @@ def verify_formula_b(mu, nu, a, tol=QUAD_TOL):
     return CheckResult("formula_b", {"mu": mu, "nu": nu, "a": a}, float(lhs), rhs)
 
 
-def moment_check(model, n_vec, scheme=SimplexQuadScheme()):
+def moment_check(model, n_vec):
     """Radial moment identity at integer occupations n_vec:
     quadrature value of pi^N Gamma(K) int sigma prod r^n against
     prod Gamma(n_a + 1) * Gamma(K + |n|)."""
     n_vec = tuple(int(v) for v in n_vec)
     if len(n_vec) != model.n or any(v < 0 for v in n_vec):
         raise ValueError(f"need {model.n} nonnegative integer exponents, got {n_vec}")
-    result = verify_formula_a(model.n, model.k, np.array(n_vec, dtype=float), scheme)
+    result = verify_formula_a(model.n, model.k, np.array(n_vec, dtype=float))
     return CheckResult(
         "moment", {"n": model.n, "k": model.k, "occupations": list(n_vec)},
         result.lhs, result.rhs,
@@ -404,7 +403,7 @@ def _basis_monomials(space, z):
 
 
 def resolution_check(model, cutoff, mode="quadrature", budget=10**5,
-                     seed=mc.DEFAULT_SEED, workers=1, scheme=SimplexQuadScheme()):
+                     seed=mc.DEFAULT_SEED, workers=1):
     """Deviation of the Gram matrix G_mn = int dmu <m|z><z|n> from the
     identity on the degree-truncated basis.
 
@@ -422,7 +421,7 @@ def resolution_check(model, cutoff, mode="quadrature", budget=10**5,
     if mode == "quadrature":
         max_dev = 0.0
         for state in space.occ.tolist():
-            res = moment_check(model, state, scheme)
+            res = moment_check(model, state)
             max_dev = max(max_dev, res.rel_err)
         return ResolutionResult(
             "quadrature", {"n": model.n, "k": model.k, "cutoff": cutoff}, float(max_dev)

@@ -67,7 +67,7 @@ import numpy as np
 from . import fock, mc, measure
 from .coherent import MAX_SHELLS, _f_series_vec, coefficients, f_series
 from .quadrature import de_halfline, gauss_legendre_01
-from .specfun import _bessel_k_vec, bessel_i, gamma
+from .specfun import bessel_i, gamma
 
 VARIANCE_SAFE_LOG = math.log(4.0)  # kernel-trace MC: finite variance needs beta*mu > ln 4
 KERNEL_QUAD_MAX_N = 4  # the 64^(N-1) angular grid: 262144 points at N = 4
@@ -250,7 +250,9 @@ def _angular_grid(t):
 
 def _kernel_quadrature(hp, k, beta, tol):
     """int dmu <z|e^{-beta H}|z> via the simplex substitution: Gauss-Legendre
-    over the bounded xi variables, double-exponential over xi_1 = R.
+    over the bounded xi variables, double-exponential over xi_1 = R, whose
+    factor is (N-1)! times measure.total_radius_density, exp of a sum of
+    logs.
 
     The angular grid sum and the shell sum commute exactly:
 
@@ -273,11 +275,11 @@ def _kernel_quadrature(hp, k, beta, tol):
     for d in range(MAX_SHELLS + 1):
         moments[d] = scaled.sum()
         scaled *= ratio
-    norm = 2.0 / gamma(k)
-    power = 0.5 * (k + n) - 1.0
+    model = measure.MeasureModel(n, k)
+    norm = gamma(n)  # the grid weights sum to 1/(N-1)!
 
     def f(x):
-        radial = norm * x**power * _bessel_k_vec(k - n, 2.0 * np.sqrt(x))
+        radial = norm * measure.total_radius_density(model, x)
         return radial * _f_series_vec(k, x * g_max, weights=moments)
 
     return de_halfline(

@@ -112,7 +112,7 @@ def tanh_sinh(f, a, b, tol=1e-12, singular_strength=1.0):
     return _tanh_sinh(g, singular_strength, tol)
 
 
-def power_integral_01(p, q, tol=1e-12, n_gl=64):
+def power_integral_01(p, q, tol=1e-12):
     """Numerical value of int_0^1 x^p (1-x)^q dx for p, q > -1.
 
     Nonnegative integer exponents make the integrand a polynomial, which
@@ -125,8 +125,8 @@ def power_integral_01(p, q, tol=1e-12, n_gl=64):
         raise ValueError(f"exponents must exceed -1, got p={p}, q={q}")
     integer_p = float(p).is_integer() and p >= 0
     integer_q = float(q).is_integer() and q >= 0
-    if integer_p and integer_q and p + q < 2 * n_gl:
-        x, w = gauss_legendre_01(n_gl)
+    if integer_p and integer_q and p + q < 128:  # 64 nodes are exact to degree 127
+        x, w = gauss_legendre_01()
         return float(np.sum(w * x**p * (1.0 - x) ** q))
 
     def g(log_x, log_1mx, log_ch):
@@ -159,8 +159,10 @@ def de_halfline(f, c_eff, decay, tol=1e-12, growth=0.0):
     f : callable
         Vectorized integrand; never called where x would underflow.
     c_eff : float
-        f behaves like x^(c_eff - 1) toward 0 (c_eff > 0); sizes the left
-        end of the t window.
+        f behaves like x^(c_eff - 1) toward 0; sizes the left end of the t
+        window.  The nodes stop at log x = _LOG_FLOOR, which leaves out
+        about e^(_LOG_FLOOR c_eff) of the integral, so c_eff must exceed
+        log(1/tol) / |_LOG_FLOOR|.
     decay : tuple
         ("sqrt", b) for tails like exp(-b sqrt(x)), ("lin", b) for
         exp(-b x); sizes the right end of the window.
@@ -169,8 +171,10 @@ def de_halfline(f, c_eff, decay, tol=1e-12, growth=0.0):
 
     Returns (value, error_estimate).
     """
-    if c_eff <= 0.05:
-        raise ValueError(f"c_eff must exceed 0.05, got {c_eff}")
+    c_min = math.log(1.0 / tol) / -_LOG_FLOOR
+    if c_eff <= c_min:
+        raise ValueError(f"c_eff must exceed log(1/tol)/{-_LOG_FLOOR:g} = {c_min:.6g}, "
+                         f"got {c_eff}")
     kind, b = decay
     if b <= 0.0:
         raise ValueError(f"decay rate must be positive, got {b}")

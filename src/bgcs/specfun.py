@@ -27,22 +27,23 @@ arguments rather than generality:
   by the curvature hypot(x, nu) at the peak, is accurate to rounding: no
   refinement, 37-111 nodes (66 on average) for x in [1e-3, 300].  The substitution also
   makes the symmetry K_nu = K_{-nu} manifest (w -> -w).  One kernel serves
-  every caller: it takes an array of x and sums up to 256 points at once,
-  with a few numpy operations over all their nodes (one more pass per
+  every caller: _bessel_k_log_vec takes an array of x and returns log K,
+  finite where K itself leaves double range, summing up to 256 points at
+  once with a few numpy operations over all their nodes (one more pass per
   _K_CELLS padded nodes), each point over its own nodes in its own order,
   so no bit depends on the batch.  (numpy sums a lone column pairwise, not
   in order, so a one-point pass is padded to two columns.)  bessel_k is
-  that kernel on one point; _bessel_k_log_vec returns its log K, finite
-  where K itself leaves double range.  Where x is so small that the terms
-  dropped from
+  exp of that kernel on one point; every power times K elsewhere is exp
+  of a sum of logs.  Where x is so small that the terms dropped from
 
       K_nu(x) ~ Gamma(|nu|)/2 (2/x)^|nu|        (DLMF 10.30.2)
 
   are below 1e-16 relative, the kernel returns that form instead; there
   the quadrature's window would grow like 2 log(1/x).
 
-Overflow is signaled (OverflowError), never returned as inf.  Failure of a
-series to converge, or a Bessel-K sum that fails its self-check, raises
+A value beyond double range is signaled (OverflowError), never returned as
+inf; a log value is not checked for range.  Failure of a series to
+converge, or a Bessel-K sum that fails its self-check, raises
 ConvergenceError (from quadrature).
 """
 
@@ -282,39 +283,46 @@ def _bessel_k_log_quad(nu, x):
     return peak + np.log(0.5 * t_h), np.abs(t_h - t_2h) / t_h
 
 
-def _bessel_k_block(nu, x, log):
-    """log K_nu (log true) or K_nu at every point of x (1-D), or the error
-    bessel_k raises at the lowest-index point where it fails; the log
-    values raise no OverflowError.  Points below _small_x_limit take the
-    leading term of DLMF 10.30.2, the rest one trapezoid sum each."""
+def _bessel_k_block(nu, x):
+    """log K_nu at every point of x (1-D), or the ValueError or
+    ConvergenceError bessel_k raises at the lowest-index point where it
+    fails.  Points below _small_x_limit take the leading term of DLMF
+    10.30.2, the rest one trapezoid sum each."""
     a = abs(nu)
     valid = np.isfinite(x) & (x > 0.0)
     small = valid & (x < _small_x_limit(a))
     quad = valid & ~small
-    log_val = np.zeros_like(x)
+    log_k = np.zeros_like(x)
     unresolved = np.zeros(x.shape, dtype=bool)
     if small.any():
-        log_val[small] = math.lgamma(a) - _LOG2 + a * (_LOG2 - np.log(x[small]))
+        log_k[small] = math.lgamma(a) - _LOG2 + a * (_LOG2 - np.log(x[small]))
     if quad.any():
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            log_val[quad], gap = _bessel_k_log_quad(nu, x[quad])
+            log_k[quad], gap = _bessel_k_log_quad(nu, x[quad])
         unresolved[quad] = ~(gap <= _K_GAP)  # nan too
-    if log:
-        val = log_val
-    else:
-        with np.errstate(over="ignore"):
-            val = np.exp(log_val)
-    failed = ~valid | unresolved | ~np.isfinite(val)
+    failed = ~valid | unresolved
     if failed.any():
-        i = np.argmax(failed)
-        xi = float(x[i])
+        xi = float(x[np.argmax(failed)])
         _check_finite_real("x", xi)
         if xi <= 0.0:
             raise ValueError(f"bessel_k requires x > 0, got {xi}")
-        if unresolved[i]:
-            raise ConvergenceError(f"bessel_k({nu}, {xi}) quadrature did not converge")
-        raise OverflowError(f"bessel_k({nu}, {xi}) exceeds double range")
-    return val
+        raise ConvergenceError(f"bessel_k({nu}, {xi}) quadrature did not converge")
+    return log_k
+
+
+def _bessel_k_log_vec(nu, x):
+    """log K_nu at every point of x, as a float array, in blocks of
+    _LANE_BLOCK points to bound the working set.  It raises bessel_k's
+    ValueError or ConvergenceError for the lowest-index failing point; a K
+    beyond the largest double is no error here, since a power times K is
+    then exp of a sum of logs.  Each point's bits do not depend on the
+    batch."""
+    nu = _check_finite_real("nu", nu)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty_like(x)
+    for start in range(0, x.size, _LANE_BLOCK):
+        out[start:start + _LANE_BLOCK] = _bessel_k_block(nu, x[start:start + _LANE_BLOCK])
+    return out
 
 
 def bessel_k(nu, x):
@@ -329,32 +337,10 @@ def bessel_k(nu, x):
     x = 300, and within 6.7e-14 at the 844 quadrature points of a 101 x 200
     subgrid of the scan that stay in double range (1.7e-13 at its 1,286
     small-argument points).
-    This is the _bessel_k_vec kernel on one point.
+    This is exp of the _bessel_k_log_vec kernel on one point.
     """
-    return float(_bessel_k_vec(nu, [x])[0])
-
-
-def _bessel_k_blocks(nu, x, log):
-    """_bessel_k_block over x in slices of _LANE_BLOCK points."""
-    nu = _check_finite_real("nu", nu)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(x)
-    for start in range(0, x.size, _LANE_BLOCK):
-        out[start:start + _LANE_BLOCK] = _bessel_k_block(nu, x[start:start + _LANE_BLOCK], log)
-    return out
-
-
-def _bessel_k_log_vec(nu, x):
-    """log K_nu at every point of x, as a float array, in blocks of
-    _LANE_BLOCK points to bound the working set.  bessel_k's errors for
-    the lowest-index failing point, except that a K beyond the largest
-    double is no error here: a power times K is then exp of a sum of logs."""
-    return _bessel_k_blocks(nu, x, True)
-
-
-def _bessel_k_vec(nu, x):
-    """bessel_k(nu, .) at every point of x: exp of _bessel_k_log_vec, and
-    OverflowError where that leaves double range.  Each value has the bits
-    bessel_k gives alone, and a failure raises bessel_k's error for the
-    lowest-index failing point."""
-    return _bessel_k_blocks(nu, x, False)
+    with np.errstate(over="ignore"):
+        value = float(np.exp(_bessel_k_log_vec(nu, [x]))[0])
+    if math.isinf(value):
+        raise OverflowError(f"bessel_k({float(nu)}, {float(x)}) exceeds double range")
+    return value

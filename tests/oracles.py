@@ -130,6 +130,14 @@ def geometric_trace(k, mu, c_last, beta):
     return mp.e ** (-mp.mpf(beta) * k * mp.mpf(c_last)) / (1 - x)
 
 
+def sigma(n, k, big_r):
+    """Radial density 2 / (pi^N Gamma(K)) R^((K-N)/2) K_{K-N}(2 sqrt R) of
+    the measure, with mpmath.besselk, 50 digits."""
+    k, big_r = mp.mpf(k), mp.mpf(big_r)
+    return (2 / (mp.pi**n * mp.gamma(k)) * big_r ** ((k - n) / 2)
+            * mp.besselk(k - n, 2 * mp.sqrt(big_r)))
+
+
 def radial_cdf(n, k, q):
     """P(R <= q) for R = r_1 + ... + r_N under the measure, integrating the
     density 2 R^((K+N)/2 - 1) K_{K-N}(2 sqrt R) / (Gamma(K) Gamma(N)) in

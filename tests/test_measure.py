@@ -33,6 +33,25 @@ def test_density_origin_limit():
     assert near == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-4)
 
 
+# frozen via tests/oracles.py sigma(1, 11, R) at R = 1e-62 and 1e-100 (mpmath, 50 digits)
+SIGMA_N1_K11_NEAR_ORIGIN = 0.03183098861837906715377675267
+
+
+@pytest.mark.parametrize("r", [1e-62, 1e-100])
+def test_density_near_the_origin_where_k_overflows(r):
+    """R^5 K_10(2 sqrt R) stays near its origin limit while K_10 alone
+    leaves double range, so sigma is exp of a sum of logs."""
+    value = measure.density(measure.MeasureModel(1, 11.0), [r])
+    assert value == pytest.approx(SIGMA_N1_K11_NEAR_ORIGIN, rel=1e-12)
+
+
+def test_density_beyond_double_range_raises():
+    """N = 2, K = 0.5: sigma(R = 1e-300) is 5.1e448 (mpmath), which no
+    double holds; it raises rather than returning inf."""
+    with pytest.raises(OverflowError, match=r"^density at R=1e-300 exceeds double range"):
+        measure.density(measure.MeasureModel(2, 0.5), [1e-300, 0.0])
+
+
 def test_density_origin_singular_for_small_k():
     with pytest.raises(ValueError):
         measure.density(measure.MeasureModel(1, 1.0), [0.0])
@@ -185,6 +204,11 @@ def test_formula_a_listed_instances():
     res = measure.verify_formula_a(1, 0.5, [0.5])
     assert res.rhs == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-14)
     assert res.rel_err <= 1e-8
+
+    # the half-line factor goes like xi^(0.043 - 1) at the origin, which the
+    # rule takes: its nodes reach xi = e^-690, and e^(-690 * 0.043) < 1e-11
+    res = measure.verify_formula_a(1, 0.2292433156667878, [-0.18618444187372152])
+    assert res.rel_err <= 1e-11
 
 
 def test_formula_a_domain_errors():

@@ -10,7 +10,7 @@ import scipy.integrate
 import scipy.linalg
 import scipy.special
 
-from bgcs import coherent, fock, pathint, specfun
+from bgcs import coherent, fock, measure, pathint, specfun
 
 # frozen via tests/oracles.py geometric_trace
 Z_BETA_1 = 1.5819767068693264
@@ -146,8 +146,7 @@ def test_kernel_moment_form_is_the_grid_sum(monkeypatch, n, k, beta):
     pathint.exact_kernel_trace(hp, k, beta)
     g, grid_w = pathint._angular_grid(np.exp(-beta * hp.mu))
     x = np.array([1e-6, 0.03, 0.7, 4.0, 25.0, 160.0, 900.0])
-    radial = (2.0 / specfun.gamma(k) * x ** (0.5 * (k + n) - 1.0)
-              * specfun._bessel_k_vec(k - n, 2.0 * np.sqrt(x)))
+    radial = specfun.gamma(n) * measure.total_radius_density(measure.MeasureModel(n, k), x)
     reference = radial * (coherent._f_series_vec(k, np.outer(x, g)) @ grid_w)
     got = captured[0](x)
     if n == 1:

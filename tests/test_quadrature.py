@@ -1,6 +1,8 @@
 """Quadrature layer: the bounded power integral near its domain edge and the
 tanh-sinh nodes of the interval rule."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -64,8 +66,13 @@ def test_rule_argument_checks():
         quadrature.power_integral_01(-1.0, 0.5)
     with pytest.raises(ValueError, match="exponents must exceed -1"):
         quadrature.power_integral_01(0.5, -1.5)
-    with pytest.raises(ValueError, match="c_eff must exceed 0.05"):
-        quadrature.de_halfline(np.exp, 0.05, ("lin", 1.0))
+    c_min = math.log(1e12) / 690.0  # the nodes stop at x = e^-690, tol 1e-12
+    with pytest.raises(ValueError, match=r"^c_eff must exceed log\(1/tol\)/690 = 0\.040045, "):
+        quadrature.de_halfline(np.exp, 0.999 * c_min, ("lin", 1.0))
+    c = 1.001 * c_min
+    value, _ = quadrature.de_halfline(lambda x: np.exp((c - 1.0) * np.log(x) - x), c,
+                                      ("lin", 1.0))
+    assert value == pytest.approx(math.gamma(c), rel=1e-11)
     with pytest.raises(ValueError, match="decay rate must be positive"):
         quadrature.de_halfline(np.exp, 1.0, ("lin", 0.0))
     with pytest.raises(ValueError, match="unknown decay kind 'cubic'"):

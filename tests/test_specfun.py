@@ -161,7 +161,8 @@ def test_bessel_k_vec_is_bessel_k_lane_by_lane(nu, log10_xs):
     one-point call, on both sides of the small-argument form."""
     assert specfun._LANE_BLOCK < 257
     xs = [10.0**e for e in log10_xs]
-    assert specfun._bessel_k_vec(nu, xs).tolist() == [specfun.bessel_k(nu, x) for x in xs]
+    got = np.exp(specfun._bessel_k_log_vec(nu, xs)).tolist()
+    assert got == [specfun.bessel_k(nu, x) for x in xs]
 
 
 def _reference_log_quad(nu, x):
@@ -221,17 +222,21 @@ def test_bessel_k_log_quad_matches_the_reference_bit_for_bit(nu, log10_xs):
 
 
 def _first_error(nu, xs):
+    """bessel_k's error at the first point that fails for a reason other
+    than K leaving double range, which the log kernel does not raise."""
     for x in xs:
         try:
             specfun.bessel_k(nu, x)
-        except (ValueError, OverflowError, specfun.ConvergenceError) as exc:
+        except OverflowError:
+            continue
+        except (ValueError, specfun.ConvergenceError) as exc:
             return type(exc), str(exc)
     raise AssertionError("no point fails")
 
 
 def _vector_error(nu, xs):
     with pytest.raises((ValueError, OverflowError, specfun.ConvergenceError)) as info:
-        specfun._bessel_k_vec(nu, xs)
+        specfun._bessel_k_log_vec(nu, xs)
     return info.type, str(info.value)
 
 
@@ -239,11 +244,11 @@ OVERFLOW_X = 3.612024814854264e-251  # overflows at nu = -1.4038...
 
 
 @pytest.mark.parametrize("xs,kind", [
-    ([1.0] * 70 + [OVERFLOW_X, 0.0, float("nan")], OverflowError),
+    ([1.0] * 70 + [OVERFLOW_X, 0.0, float("nan")], ValueError),
     ([2.0] * 3 + [0.0, OVERFLOW_X], ValueError),
     ([float("nan")] + [1.0] * 80 + [-1.0], ValueError),
     ([0.5] * 130 + [-2.0, OVERFLOW_X], ValueError),
-    ([0.5] * 300 + [OVERFLOW_X, -2.0], OverflowError),
+    ([0.5] * 300 + [OVERFLOW_X, -2.0], ValueError),
 ])
 def test_bessel_k_vec_raises_the_lowest_failing_points_error(xs, kind):
     nu = -1.4038079065171498
@@ -253,7 +258,7 @@ def test_bessel_k_vec_raises_the_lowest_failing_points_error(xs, kind):
 
 @pytest.mark.parametrize("xs,kind", [
     ([5.0] * 66 + [0.57] + [1e-300] * 3, specfun.ConvergenceError),
-    ([5.0] * 10 + [1e-300, 0.57], OverflowError),
+    ([5.0] * 10 + [1e-300, 0.57], specfun.ConvergenceError),
     ([5.0] * 260 + [0.57] + [1e-300] * 3, specfun.ConvergenceError),
 ])
 def test_bessel_k_vec_raises_the_lowest_stalled_points_error(monkeypatch, xs, kind):
@@ -267,13 +272,13 @@ def test_bessel_k_vec_raises_the_lowest_stalled_points_error(monkeypatch, xs, ki
 
 
 def test_bessel_k_log_vec_is_the_log_of_bessel_k_vec():
-    """_bessel_k_vec is exp of the log kernel, bit for bit; the log kernel
+    """bessel_k is exp of the log kernel, bit for bit; the log kernel
     stays finite where K leaves double range (mpmath: log K = 809.69 at
     OVERFLOW_X) and raises bessel_k's other errors."""
     nu = -1.4038079065171498
     xs = np.geomspace(1e-200, 600.0, 300)
     log_k = specfun._bessel_k_log_vec(nu, xs)
-    assert np.exp(log_k).tobytes() == specfun._bessel_k_vec(nu, xs).tobytes()
+    assert np.exp(log_k).tolist() == [specfun.bessel_k(nu, x) for x in xs.tolist()]
     expected = float(oracles.mp.log(oracles.bessel_k_mp(nu, OVERFLOW_X)))
     assert specfun._bessel_k_log_vec(nu, [OVERFLOW_X])[0] == pytest.approx(expected, rel=1e-14)
     with pytest.raises(ValueError, match=r"^bessel_k requires x > 0, got 0\.0$"):
