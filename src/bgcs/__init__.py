@@ -35,6 +35,6 @@ from .pathint import (
     h_matrix_element,
     sliced_trace,
 )
-from .specfun import ConvergenceError, bessel_i, bessel_k, beta, gamma, log_gamma, pochhammer
+from .specfun import ConvergenceError, bessel_i, bessel_k, gamma, log_gamma
 
 __version__ = "0.1.0"

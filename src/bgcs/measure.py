@@ -48,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import coherent, fock, mc
-from .quadrature import de_halfline, power_integral_01, tanh_sinh
+from .quadrature import _tanh_sinh, de_halfline, power_integral_01
 from .specfun import _bessel_k_log_vec, gamma, log_gamma
 
 QUAD_TOL = 1e-11
@@ -91,7 +91,8 @@ def density(model, r):
             )
         return gamma(nu) / (math.pi**model.n * gamma(model.k))
     log_norm = math.log(2.0) - model.n * math.log(math.pi) - log_gamma(model.k)
-    log_k = float(_bessel_k_log_vec(nu, [2.0 * math.sqrt(big_r)])[0])
+    x = np.array([2.0 * math.sqrt(big_r)])
+    log_k = float(_bessel_k_log_vec(nu, x, np.log(x))[0])
     try:
         return math.exp(log_norm + 0.5 * nu * math.log(big_r) + log_k)
     except OverflowError:
@@ -99,34 +100,41 @@ def density(model, r):
                             f"(K={model.k}, N={model.n})") from None
 
 
+def _log_bessel_k(nu, log_x):
+    """log K_nu(x) from log x; x itself may underflow to 0."""
+    return _bessel_k_log_vec(nu, np.exp(log_x), log_x)
+
+
+def _log_radius_density(model, log_r):
+    """log of the density of R = sum r_a under dmu, from log R:
+    f(R) = 2 R^((K+N)/2 - 1) K_{K-N}(2 sqrt R) / (Gamma(K) Gamma(N)), a sum
+    of logs, finite where R underflows or the power vanishes while K_{K-N}
+    leaves double range."""
+    log_norm = math.log(2.0) - log_gamma(model.k) - log_gamma(model.n)
+    log_k = _log_bessel_k(model.k - model.n, math.log(2.0) + 0.5 * log_r)
+    return log_norm + (0.5 * (model.k + model.n) - 1.0) * log_r + log_k
+
+
 def total_radius_density(model, big_r):
-    """Density of R = sum r_a under dmu (vectorized over big_r):
-    f(R) = 2 R^((K+N)/2 - 1) K_{K-N}(2 sqrt R) / (Gamma(K) Gamma(N)),
-    formed as exp of a sum of logs: at small R and K < N the power
-    vanishes while K_{K-N} leaves double range, and their product does not."""
+    """Density of R = sum r_a under dmu (vectorized over big_r), the exp of
+    _log_radius_density."""
     big_r = np.atleast_1d(np.asarray(big_r, dtype=float))
     if np.any(big_r <= 0.0):
         raise ValueError("need R > 0")
-    nu = model.k - model.n
-    log_norm = math.log(2.0) - log_gamma(model.k) - log_gamma(model.n)
-    log_k = _bessel_k_log_vec(nu, 2.0 * np.sqrt(big_r))
-    return np.exp(log_norm + (0.5 * (model.k + model.n) - 1.0) * np.log(big_r) + log_k)
+    return np.exp(_log_radius_density(model, np.log(big_r)))
 
 
 def radial_cdf(model, q, tol=QUAD_TOL):
-    """P(R <= q) under dmu, by tanh-sinh integration of the R density.
-
-    The nodes stop near R = 5e-324 and leave out P(R < 5e-324) ~
-    e^(-744 min(K, N)), which exceeds the tolerance below min(K, N) = 0.05.
-    """
+    """P(R <= q) under dmu, by tanh-sinh integration of the R density in
+    log R.  The density behaves like R^(min(K, N) - 1) at the origin, so
+    the rule's window reaches R = q e^(-55/min(K, N)), where R itself has
+    long underflowed for small K: every K > 0 works."""
     q = float(q)
     if q <= 0.0:
         raise ValueError(f"need q > 0, got {q}")
-    strength = min(model.k, float(model.n))
-    if strength < 0.05:
-        raise ValueError(f"radial_cdf needs min(K, N) >= 0.05, got K={model.k}")
-    value, _ = tanh_sinh(lambda x: total_radius_density(model, x), 0.0, q, tol=tol,
-                         singular_strength=strength)
+    log_q = math.log(q)
+    value, _ = _tanh_sinh(lambda log_x, _: log_q + _log_radius_density(model, log_q + log_x),
+                          min(model.k, float(model.n)), tol)
     return float(value)
 
 
@@ -145,10 +153,10 @@ def _halfline_bessel_factor(c, nu, tol):
     if c_eff <= 0.0:
         raise ValueError(f"half-line factor needs c > |nu|/2, got c={c}, nu={nu}")
 
-    def f(x):
-        return np.exp((c - 1.0) * np.log(x) + _bessel_k_log_vec(nu, 2.0 * np.sqrt(x)))
+    def log_f(log_x):
+        return (c - 1.0) * log_x + _log_bessel_k(nu, math.log(2.0) + 0.5 * log_x)
 
-    value, _ = de_halfline(f, c_eff, ("sqrt", 2.0), tol=tol, growth=c - 1.25)
+    value, _ = de_halfline(log_f, c_eff, ("sqrt", 2.0), tol=tol, growth=c - 1.25)
     return value
 
 
@@ -224,10 +232,12 @@ def verify_formula_b(mu, nu, a, tol=QUAD_TOL):
     if mu <= abs(nu):
         raise ValueError(f"need mu > |nu| for convergence, got mu={mu}, nu={nu}")
 
-    def f(x):
-        return np.exp((mu - 1.0) * np.log(x) + _bessel_k_log_vec(nu, a * x))
+    log_a = math.log(a)
 
-    lhs, _ = de_halfline(f, mu - abs(nu), ("lin", a), tol=tol, growth=mu - 1.5)
+    def log_f(log_x):
+        return (mu - 1.0) * log_x + _log_bessel_k(nu, log_a + log_x)
+
+    lhs, _ = de_halfline(log_f, mu - abs(nu), ("lin", a), tol=tol, growth=mu - 1.5)
     rhs = math.exp(
         (mu - 2.0) * math.log(2.0)
         - mu * math.log(a)

@@ -67,7 +67,7 @@ import numpy as np
 from . import fock, mc, measure
 from .coherent import MAX_SHELLS, _f_series_vec, coefficients, f_series
 from .quadrature import de_halfline, gauss_legendre_01
-from .specfun import bessel_i, gamma
+from .specfun import bessel_i, log_gamma
 
 VARIANCE_SAFE_LOG = math.log(4.0)  # kernel-trace MC: finite variance needs beta*mu > ln 4
 KERNEL_QUAD_MAX_N = 4  # the 64^(N-1) angular grid: 262144 points at N = 4
@@ -251,8 +251,8 @@ def _angular_grid(t):
 def _kernel_quadrature(hp, k, beta, tol):
     """int dmu <z|e^{-beta H}|z> via the simplex substitution: Gauss-Legendre
     over the bounded xi variables, double-exponential over xi_1 = R, whose
-    factor is (N-1)! times measure.total_radius_density, exp of a sum of
-    logs.
+    factor is (N-1)! times the R density of measure; the rule takes the
+    log of their product, a sum of logs.
 
     The angular grid sum and the shell sum commute exactly:
 
@@ -276,14 +276,14 @@ def _kernel_quadrature(hp, k, beta, tol):
         moments[d] = scaled.sum()
         scaled *= ratio
     model = measure.MeasureModel(n, k)
-    norm = gamma(n)  # the grid weights sum to 1/(N-1)!
+    log_norm = log_gamma(n)  # the grid weights sum to 1/(N-1)!
 
-    def f(x):
-        radial = norm * measure.total_radius_density(model, x)
-        return radial * _f_series_vec(k, x * g_max, weights=moments)
+    def log_f(log_x):
+        radial = log_norm + measure._log_radius_density(model, log_x)
+        return radial + np.log(_f_series_vec(k, np.exp(log_x) * g_max, weights=moments))
 
     return de_halfline(
-        f, min(k, float(n)), ("sqrt", 2.0 * (1.0 - math.sqrt(g_max))),
+        log_f, min(k, float(n)), ("sqrt", 2.0 * (1.0 - math.sqrt(g_max))),
         tol=tol, growth=0.5 * (k + n),
     )
 

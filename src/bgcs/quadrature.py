@@ -1,5 +1,5 @@
 """Quadrature building blocks: the trapezoid refiner, Gauss-Legendre tables,
-tanh-sinh rules, and a double-exponential transform for half-line integrals.
+a tanh-sinh map, and a double-exponential transform for half-line integrals.
 
 The bottom layer: it imports nothing from bgcs and defines ConvergenceError.
 
@@ -9,10 +9,12 @@ passes agree to the requested tolerance, reusing previously computed
 nodes.  specfun's Bessel K does not refine: its integrand's strip of
 analyticity fixes the step in advance (see specfun._bessel_k_log_quad).
 
-One tanh-sinh map, _tanh_sinh, serves both interval rules.  It hands its
-integrand log x and log(1 - x) rather than x, so the far nodes neither
-overflow nor round onto an endpoint: power_integral_01 stays in log space,
-and tanh_sinh skips the nodes whose x rounds onto a or b.
+Both rules take the log of their integrand as a function of log x (and,
+for _tanh_sinh, log(1 - x)), add the log of their Jacobian, and take the
+one exp themselves.  A far node whose x underflows to 0 or rounds onto 1
+still has an exact log x, and its term underflows quietly to 0, so no node
+is clipped, masked or refused.  _tanh_sinh serves power_integral_01 and
+measure.radial_cdf; de_halfline serves the half-line factors.
 
 The half-line transform is x = exp(t - e^{-t}).  Toward t -> -infinity the
 node x approaches zero doubly exponentially, so an integrand behaving like
@@ -31,7 +33,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 _REFINE_LEVELS = 8
-_LOG_FLOOR = -690.0  # keep exp() comfortably inside double range
 
 
 class ConvergenceError(RuntimeError):
@@ -59,8 +60,8 @@ def _refine_trapezoid(g, lo, hi, tol, n0=128):
     total = h * (np.sum(vals) - 0.5 * (vals[0] + vals[-1]))
     evals = vals.size
     converged = 0
-    for _ in range(_REFINE_LEVELS):
-        mid = np.arange(lo + 0.5 * h, hi, h)
+    for level in range(_REFINE_LEVELS):
+        mid = lo + h * (np.arange(n0 << level) + 0.5)
         new_total = 0.5 * total + 0.5 * h * np.sum(g(mid))
         evals += mid.size
         h *= 0.5
@@ -73,43 +74,23 @@ def _refine_trapezoid(g, lo, hi, tol, n0=128):
         f"trapezoid refinement stalled on [{lo}, {hi}] (last change {change:.3e})")
 
 
-def _tanh_sinh(g, strength, tol):
-    """int_0^1 by trapezoid refinement under x = 1/(1 + exp(-pi sinh t)),
+def _tanh_sinh(log_f, strength, tol):
+    """int_0^1 f(x) dx by trapezoid refinement under x = 1/(1 + exp(-pi sinh t)),
     for endpoint singularities x^(s-1), (1-x)^(s-1) with s >= `strength`.
 
-    g(log_x, log_1mx, log_ch) returns the integrand times dx/dt = x (1-x)
-    exp(log_ch), given log x = -logaddexp(0, -pi sinh t), log(1-x) =
-    -logaddexp(0, pi sinh t) and log_ch = log(pi cosh t).  The endpoint gap
-    is ~exp(-pi sinh t), so the window reaches pi sinh T = 55/s.
+    log_f(log_x, log_1mx) returns log f, given log x = -logaddexp(0, -pi sinh t)
+    and log(1-x) = -logaddexp(0, pi sinh t); the rule adds log dx/dt =
+    log x + log(1-x) + log(pi cosh t) and takes the one exp.  The endpoint
+    gap is ~exp(-pi sinh t), so the window reaches pi sinh T = 55/s.
     """
     T = math.asinh(55.0 / (math.pi * min(strength, 1.0)))
 
-    def mapped(t):
+    def g(t):
         u = math.pi * np.sinh(t)
-        return g(-np.logaddexp(0.0, -u), -np.logaddexp(0.0, u), np.log(math.pi * np.cosh(t)))
+        log_x, log_1mx = -np.logaddexp(0.0, -u), -np.logaddexp(0.0, u)
+        return np.exp(log_f(log_x, log_1mx) + log_x + log_1mx + np.log(math.pi * np.cosh(t)))
 
-    return _refine_trapezoid(mapped, -T, T, tol, n0=64)[:2]
-
-
-def tanh_sinh(f, a, b, tol=1e-12, singular_strength=1.0):
-    """Integrate f over (a, b) by tanh-sinh quadrature, for endpoint
-    singularities (x-a)^(s-1) with s >= `singular_strength`.  Nodes that
-    round onto a or b, or where dx/dt < exp(_LOG_FLOOR), count as zero."""
-    if not b > a:
-        raise ValueError(f"need b > a, got a={a}, b={b}")
-    if not singular_strength > 0.0:
-        raise ValueError(f"need singular_strength > 0, got {singular_strength}")
-    width = b - a
-
-    def g(log_x, log_1mx, log_ch):
-        x = a + width * np.exp(log_x)
-        log_jac = math.log(width) + log_x + log_1mx + log_ch
-        out = np.zeros_like(x)
-        ok = (x > a) & (x < b) & (log_jac > _LOG_FLOOR)
-        out[ok] = f(x[ok]) * np.exp(log_jac[ok])
-        return out
-
-    return _tanh_sinh(g, singular_strength, tol)
+    return _refine_trapezoid(g, -T, T, tol, n0=64)[:2]
 
 
 def power_integral_01(p, q, tol=1e-12):
@@ -128,15 +109,8 @@ def power_integral_01(p, q, tol=1e-12):
     if integer_p and integer_q and p + q < 128:  # 64 nodes are exact to degree 127
         x, w = gauss_legendre_01()
         return float(np.sum(w * x**p * (1.0 - x) ** q))
-
-    def g(log_x, log_1mx, log_ch):
-        log_vals = (p + 1.0) * log_x + (q + 1.0) * log_1mx + log_ch
-        out = np.zeros_like(log_vals)
-        ok = log_vals > _LOG_FLOOR
-        out[ok] = np.exp(log_vals[ok])
-        return out
-
-    value, _ = _tanh_sinh(g, min(p + 1.0, q + 1.0), tol)
+    value, _ = _tanh_sinh(lambda log_x, log_1mx: p * log_x + q * log_1mx,
+                          min(p + 1.0, q + 1.0), tol)
     return float(value)
 
 
@@ -151,18 +125,17 @@ def _solve_tail(decay_kind, b, growth, target):
     return u * u if power == 2 else u
 
 
-def de_halfline(f, c_eff, decay, tol=1e-12, growth=0.0):
+def de_halfline(log_f, c_eff, decay, tol=1e-12, growth=0.0):
     """Integrate f over (0, oo) with the substitution x = exp(t - e^{-t}).
 
     Parameters
     ----------
-    f : callable
-        Vectorized integrand; never called where x would underflow.
+    log_f : callable
+        Vectorized log of the integrand, called with log x: x itself
+        underflows to 0 at the left nodes, where log x is still exact.
     c_eff : float
         f behaves like x^(c_eff - 1) toward 0; sizes the left end of the t
-        window.  The nodes stop at log x = _LOG_FLOOR, which leaves out
-        about e^(_LOG_FLOOR c_eff) of the integral, so c_eff must exceed
-        log(1/tol) / |_LOG_FLOOR|.
+        window, where x^c_eff = e^-60.
     decay : tuple
         ("sqrt", b) for tails like exp(-b sqrt(x)), ("lin", b) for
         exp(-b x); sizes the right end of the window.
@@ -171,10 +144,8 @@ def de_halfline(f, c_eff, decay, tol=1e-12, growth=0.0):
 
     Returns (value, error_estimate).
     """
-    c_min = math.log(1.0 / tol) / -_LOG_FLOOR
-    if c_eff <= c_min:
-        raise ValueError(f"c_eff must exceed log(1/tol)/{-_LOG_FLOOR:g} = {c_min:.6g}, "
-                         f"got {c_eff}")
+    if not c_eff > 0.0:
+        raise ValueError(f"c_eff must be positive, got {c_eff}")
     kind, b = decay
     if b <= 0.0:
         raise ValueError(f"decay rate must be positive, got {b}")
@@ -182,14 +153,9 @@ def de_halfline(f, c_eff, decay, tol=1e-12, growth=0.0):
     x_big = _solve_tail(kind, b, growth, 60.0)
     t_hi = math.log(x_big) + 1.0
 
-    def g(t):
+    def g(t):  # f(x) dx/dt, with dx/dt = x (1 + e^-t)
         log_x = t - np.exp(-t)
-        x = np.exp(np.maximum(log_x, _LOG_FLOOR))
-        out = np.zeros_like(t)
-        ok = log_x > _LOG_FLOOR
-        if np.any(ok):
-            out[ok] = f(x[ok]) * x[ok] * (1.0 + np.exp(-t[ok]))
-        return out
+        return np.exp(log_f(log_x) + log_x + np.log1p(np.exp(-t)))
 
     value, err, _ = _refine_trapezoid(g, t_lo, t_hi, tol, n0=128)
     return value, err

@@ -4,10 +4,8 @@ Only the handful of functions the rest of the library actually needs live
 here, with evaluation strategies chosen for accuracy on desk-scale
 arguments rather than generality:
 
-* ``gamma``/``log_gamma``/``beta`` delegate to libm (positive arguments
-  only, validated here).
-* ``pochhammer`` is the ascending product a(a+1)...(a+n-1), computed as a
-  product so it stays defined for any real a.
+* ``gamma``/``log_gamma`` delegate to libm (positive arguments only,
+  validated here).
 * ``bessel_i`` sums the ascending series
 
       I_nu(x) = sum_{n>=0} (x/2)^(2n+nu) / (n! Gamma(nu+n+1)),
@@ -27,8 +25,9 @@ arguments rather than generality:
   by the curvature hypot(x, nu) at the peak, is accurate to rounding: no
   refinement, 37-111 nodes (66 on average) for x in [1e-3, 300].  The substitution also
   makes the symmetry K_nu = K_{-nu} manifest (w -> -w).  One kernel serves
-  every caller: _bessel_k_log_vec takes an array of x and returns log K,
-  finite where K itself leaves double range, summing up to 256 points at
+  every caller: _bessel_k_log_vec takes an array of x with its logs and
+  returns log K, finite where K itself leaves double range and where x
+  underflows to 0 while log x is finite, summing up to 256 points at
   once with a few numpy operations over all their nodes (one more pass per
   _K_CELLS padded nodes), each point over its own nodes in its own order,
   so no bit depends on the batch.  (numpy sums a lone column pairwise, not
@@ -38,8 +37,12 @@ arguments rather than generality:
 
       K_nu(x) ~ Gamma(|nu|)/2 (2/x)^|nu|        (DLMF 10.30.2)
 
-  are below 1e-16 relative, the kernel returns that form instead; there
-  the quadrature's window would grow like 2 log(1/x).
+  are below 1e-16 relative, the kernel returns that form instead, from
+  log x; there the quadrature's window would grow like 2 log(1/x).  Below
+  x = 45 / (largest double) cosh overflows inside the window, and for
+  |nu| < 0.056 that form does not hold there yet (it drops a term of
+  relative size ~ (x/2)^(2|nu|)), so those points take the two leading
+  terms of the ascending series, again in log x (_log_k_two_term).
 
 A value beyond double range is signaled (OverflowError), never returned as
 inf; a log value is not checked for range.  Failure of a series to
@@ -50,6 +53,7 @@ ConvergenceError (from quadrature).
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -66,6 +70,10 @@ _K_STEP_MAX = 0.2  # and the step's cap where |phi''(w*)| is small
 _K_GAP = 1e-5  # largest relative gap between the sums at steps h and 2h
 _K_CELLS = 1 << 16  # largest padded node matrix of one trapezoid pass, in doubles
 _LANE_BLOCK = 256  # Bessel-K points per kernel pass
+_QUAD_X_MIN = _K_DROP / sys.float_info.max  # below it cosh overflows inside the window
+_EULER = 0.5772156649015329  # Euler's gamma
+_ZETA_ODD = (1.2020569031595942, 1.03692775514337, 1.008349277381923,
+             1.0020083928260821)  # zeta(3), zeta(5), zeta(7), zeta(9)
 
 
 def _check_finite_real(name, value):
@@ -92,40 +100,6 @@ def log_gamma(p):
     if p <= 0.0:
         raise ValueError(f"log_gamma requires p > 0, got {p}")
     return math.lgamma(p)
-
-
-def beta(p, q):
-    """Euler beta B(p, q) = Gamma(p) Gamma(q) / Gamma(p+q), for p, q > 0.
-
-    Evaluated in log space so large arguments do not overflow on the way
-    to a representable result.
-    """
-    p = _check_finite_real("p", p)
-    q = _check_finite_real("q", q)
-    if p <= 0.0 or q <= 0.0:
-        raise ValueError(f"beta requires p, q > 0, got p={p}, q={q}")
-    log_b = math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
-    try:
-        return math.exp(log_b)
-    except OverflowError:
-        raise OverflowError(f"beta({p}, {q}) exceeds double range")
-
-
-def pochhammer(a, n):
-    """Ascending factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1.
-
-    Defined for any real a (including nonpositive values, where the Gamma
-    ratio form would be singular).
-    """
-    a = _check_finite_real("a", a)
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"pochhammer requires integer n >= 0, got {n!r}")
-    prod = 1.0
-    for j in range(int(n)):
-        prod *= a + j
-        if math.isinf(prod):
-            raise OverflowError(f"pochhammer({a}, {n}) exceeds double range")
-    return prod
 
 
 def bessel_i(nu, x):
@@ -177,6 +151,33 @@ def _small_x_limit(a):
     else:
         return 0.0
     return 2.0 * math.exp(log_z)
+
+
+def _log_k_two_term(a, log_x):
+    """log K_a(x) for a < 0.056 and x below _QUAD_X_MIN, from log x.
+
+    With L = log(2/x), the leading terms of I_{-a} and I_a in K_a =
+    (pi/2) (I_{-a} - I_a) / sin(a pi) (DLMF 10.27.4, 10.25.2) give
+
+        K_a(x) = Gamma(1-a) e^(-aL) expm1(2a (L - phi(a))) / (2a),
+
+    where e^(-2a phi(a)) = Gamma(1+a) / Gamma(1-a), so that phi(a) = gamma
+    + sum_{m>=1} zeta(2m+1) a^(2m) / (2m+1).  Four terms leave under 3e-14
+    in phi here and 4e-15 in log K; the difference of lgamma(1 +- a) would
+    lose a itself when a is tiny.  The
+    dropped terms are (x/2)^2 relative.  At a = 0 the limit is K_0 =
+    L - gamma (DLMF 10.31.2), and past y = 709, where expm1(y) overflows,
+    log expm1(y) = y + log1p(-e^-y).
+    """
+    big_l = _LOG2 - log_x
+    if a == 0.0:
+        return np.log(big_l - _EULER)
+    phi = _EULER + sum(z * a ** (2 * m) / (2 * m + 1) for m, z in enumerate(_ZETA_ODD, 1))
+    y = 2.0 * a * (big_l - phi)
+    with np.errstate(over="ignore"):
+        log_e = np.where(y > 709.0, y + np.log1p(-np.exp(-y)) - math.log(2.0 * a),
+                         np.log(np.expm1(y) / (2.0 * a)))
+    return -a * big_l + math.lgamma(1.0 - a) + log_e
 
 
 def _trapezoid_sums(nu, x, peak, lo, h, n):
@@ -283,19 +284,24 @@ def _bessel_k_log_quad(nu, x):
     return peak + np.log(0.5 * t_h), np.abs(t_h - t_2h) / t_h
 
 
-def _bessel_k_block(nu, x):
+def _bessel_k_block(nu, x, log_x):
     """log K_nu at every point of x (1-D), or the ValueError or
     ConvergenceError bessel_k raises at the lowest-index point where it
-    fails.  Points below _small_x_limit take the leading term of DLMF
-    10.30.2, the rest one trapezoid sum each."""
+    fails.  x may underflow to 0 where log_x is finite.  Points below
+    _small_x_limit take the leading term of DLMF 10.30.2 in log x; the
+    other points below _QUAD_X_MIN, only ever of order |nu| < 0.056, take
+    _log_k_two_term; the rest one trapezoid sum each, in x."""
     a = abs(nu)
-    valid = np.isfinite(x) & (x > 0.0)
+    valid = np.isfinite(log_x)
     small = valid & (x < _small_x_limit(a))
-    quad = valid & ~small
+    tiny = valid & ~small & (x < _QUAD_X_MIN)
+    quad = valid & ~small & ~tiny
     log_k = np.zeros_like(x)
     unresolved = np.zeros(x.shape, dtype=bool)
     if small.any():
-        log_k[small] = math.lgamma(a) - _LOG2 + a * (_LOG2 - np.log(x[small]))
+        log_k[small] = math.lgamma(a) - _LOG2 + a * (_LOG2 - log_x[small])
+    if tiny.any():
+        log_k[tiny] = _log_k_two_term(a, log_x[tiny])
     if quad.any():
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             log_k[quad], gap = _bessel_k_log_quad(nu, x[quad])
@@ -310,18 +316,22 @@ def _bessel_k_block(nu, x):
     return log_k
 
 
-def _bessel_k_log_vec(nu, x):
-    """log K_nu at every point of x, as a float array, in blocks of
-    _LANE_BLOCK points to bound the working set.  It raises bessel_k's
+def _bessel_k_log_vec(nu, x, log_x):
+    """log K_nu at every point of x, as a float array, given x and its log:
+    x may underflow to 0 where log_x is finite, and the quadrature reads x
+    while the small-argument forms read log_x.  It works in blocks of
+    _LANE_BLOCK points to bound the working set, and raises bessel_k's
     ValueError or ConvergenceError for the lowest-index failing point; a K
     beyond the largest double is no error here, since a power times K is
     then exp of a sum of logs.  Each point's bits do not depend on the
     batch."""
     nu = _check_finite_real("nu", nu)
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    log_x = np.atleast_1d(np.asarray(log_x, dtype=float))
     out = np.empty_like(x)
     for start in range(0, x.size, _LANE_BLOCK):
-        out[start:start + _LANE_BLOCK] = _bessel_k_block(nu, x[start:start + _LANE_BLOCK])
+        part = slice(start, start + _LANE_BLOCK)
+        out[part] = _bessel_k_block(nu, x[part], log_x[part])
     return out
 
 
@@ -339,8 +349,9 @@ def bessel_k(nu, x):
     small-argument points).
     This is exp of the _bessel_k_log_vec kernel on one point.
     """
-    with np.errstate(over="ignore"):
-        value = float(np.exp(_bessel_k_log_vec(nu, [x]))[0])
+    x = np.array([x], dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        value = float(np.exp(_bessel_k_log_vec(nu, x, np.log(x)))[0])
     if math.isinf(value):
-        raise OverflowError(f"bessel_k({float(nu)}, {float(x)}) exceeds double range")
+        raise OverflowError(f"bessel_k({float(nu)}, {float(x[0])}) exceeds double range")
     return value

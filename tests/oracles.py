@@ -47,6 +47,12 @@ def bessel_k_mp(nu, x):
     return mp.besselk(mp.mpf(nu), mp.mpf(x))
 
 
+def bessel_k_log_x(nu, log_x):
+    """Macdonald K_nu(e^log_x) from mpmath.besselk, 50 digits, for arguments
+    below the smallest double, where only log x is representable."""
+    return mp.besselk(mp.mpf(nu), mp.e ** mp.mpf(log_x))
+
+
 def f_sum(k, w, terms=60):
     """Brute-force multi-index sum for the overlap series F_N(K; w):
 

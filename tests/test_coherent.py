@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bgcs import coherent, fock, specfun
@@ -116,10 +116,16 @@ def test_f_series_vec_matches_scalar(k, w):
 @given(st.floats(min_value=0.05, max_value=8.0),
        st.one_of(st.lists(st.floats(min_value=-20.0, max_value=60.0), min_size=1, max_size=4),
                  st.lists(complex_args, min_size=1, max_size=4)))
+@example(1.0, [0.0, 1.0, 0.3333333333333333, 2.0])
 def test_f_series_is_the_vector_kernel(k, w):
     """The scalar and the vectorized F run one shell recurrence: equal bit
-    for bit at the same summed argument, real or complex."""
-    s = np.sum(np.asarray(w))
+    for bit at the same summed argument, real or complex.  f_series sums w
+    as complex numbers, and numpy sums a float array in another order
+    (0 + 1 + 1/3 + 2 differs in the last bit), so the argument here is the
+    complex sum too, taken real when every w_a is."""
+    w_c = np.asarray(w, dtype=complex)
+    s = np.sum(w_c)
+    s = s.real if np.all(w_c.imag == 0.0) else s
     assert coherent.f_series(k, w) == coherent._f_series_vec(k, np.array([s]))[0]
 
 

@@ -180,13 +180,22 @@ def test_radial_cdf_scans_small_k_at_n3():
     assert all(0.0 < v < 1.0 for v in values.values())
 
 
-def test_radial_cdf_rejects_tiny_strength():
-    """Below min(K, N) = 0.05 the mass under the smallest node, ~e^(-744 K),
-    exceeds the tolerance: raise rather than clamp the window."""
-    with pytest.raises(ValueError, match=r"min\(K, N\) >= 0\.05"):
-        measure.radial_cdf(measure.MeasureModel(1, 0.04), 0.1)
-    with pytest.raises(ValueError):
-        measure.radial_cdf(measure.MeasureModel(3, 0.01), 0.1)
+# frozen via tests/oracles.py radial_cdf (mpmath, 50 digits)
+TINY_K_CDFS = {
+    (1, 0.01): 0.9853500463957201831911164433,
+    (3, 0.01): 0.9733324150566719504558060388,
+}
+
+
+@pytest.mark.parametrize("n,k", sorted(TINY_K_CDFS))
+def test_radial_cdf_at_tiny_strength(n, k):
+    """At min(K, N) = 0.01 the density goes like R^-0.99, and the nodes
+    needed reach R = 0.1 e^-5500, far below the smallest double: the rule
+    hands the density log R, so the CDF needs no lower bound on K."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = measure.radial_cdf(measure.MeasureModel(n, k), 0.1)
+    assert value == pytest.approx(TINY_K_CDFS[n, k], rel=1e-12)
 
 
 # --- the two integral formulas ---------------------------------------------
@@ -205,9 +214,12 @@ def test_formula_a_listed_instances():
     assert res.rhs == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-14)
     assert res.rel_err <= 1e-8
 
-    # the half-line factor goes like xi^(0.043 - 1) at the origin, which the
-    # rule takes: its nodes reach xi = e^-690, and e^(-690 * 0.043) < 1e-11
+    # the half-line factor goes like xi^(c - 1) at the origin, with c = 0.043
+    # and 0.0021 (quad-sweep formula-a #37 at seed 1 and #28 at seed 2); the
+    # nodes that carry its mass lie far below the smallest double
     res = measure.verify_formula_a(1, 0.2292433156667878, [-0.18618444187372152])
+    assert res.rel_err <= 1e-11
+    res = measure.verify_formula_a(1, 0.8534025076765767, [-0.8512746472232657])
     assert res.rel_err <= 1e-11
 
 
@@ -254,6 +266,20 @@ def test_formula_b_where_k_leaves_double_range(mu, nu, a, x_min):
     with pytest.raises(OverflowError, match="exceeds double range"):
         specfun.bessel_k(nu, x_min)
     assert measure.verify_formula_b(mu, nu, a).rel_err <= 1e-13
+
+
+@pytest.mark.parametrize("mu,nu,a", [(0.05, 0.01, 1.0), (0.07, 0.0, 0.5), (0.045, -0.002, 2.0)])
+def test_formula_b_small_order_near_the_origin(mu, nu, a):
+    """mu - |nu| is near 0.04, so the half-line nodes pass through the
+    subnormal a x and below, where K of order |nu| < 0.056 takes the
+    two-term small-argument form."""
+    assert measure.verify_formula_b(mu, nu, a).rel_err <= 1e-13
+
+
+@pytest.mark.parametrize("n,k,s", [(1, 1.0, [-0.96]), (2, 2.0, [-0.98, -0.98])])
+def test_formula_a_order_zero_near_the_origin(n, k, s):
+    """K_0(2 sqrt xi) with c = 0.04: the nodes reach 2 sqrt xi of e^-750."""
+    assert measure.verify_formula_a(n, k, s).rel_err <= 1e-13
 
 
 @pytest.mark.parametrize("k,s", [(1.0, 0.0), (0.5, 0.5), (2.5, 1.25), (0.75, -0.25)])

@@ -136,23 +136,28 @@ def test_kernel_trace_quadrature_matches_spectral(n, k, beta):
 @pytest.mark.parametrize("n,k,beta", [(1, 0.5, 1.0), (1, 2.5, 0.5), (2, 1.0, 0.5),
                                       (2, 2.5, 2.0), (3, 2.5, 2.0), (3, 3.5, 0.5)])
 def test_kernel_moment_form_is_the_grid_sum(monkeypatch, n, k, beta):
-    """The angular moment form of the integrand equals the reference that
-    sums F(K; x g_j) over every grid point: to 1e-15 relative, and bit for
-    bit at N = 1, where the grid is one point of weight 1."""
-    captured = []  # the radial integrand that _kernel_quadrature hands to de_halfline
+    """The angular moment form of the log integrand equals the reference that
+    sums F(K; x g_j) over every grid point, in log form: bit for bit at
+    N = 1, where the grid is one point of weight 1, and otherwise to 1e-15
+    in F plus the rounding of the two logs the integrand adds, eps (|log
+    radial| + |log F|)."""
+    captured = []  # the log integrand that _kernel_quadrature hands to de_halfline
     monkeypatch.setattr(pathint, "de_halfline",
-                        lambda f, *a, **kw: captured.append(f) or (0.0, 0.0))
+                        lambda log_f, *a, **kw: captured.append(log_f) or (0.0, 0.0))
     hp = pathint.HamiltonianParams.from_mu(KERNEL_MU[n], c_last=0.3)
     pathint.exact_kernel_trace(hp, k, beta)
     g, grid_w = pathint._angular_grid(np.exp(-beta * hp.mu))
-    x = np.array([1e-6, 0.03, 0.7, 4.0, 25.0, 160.0, 900.0])
-    radial = specfun.gamma(n) * measure.total_radius_density(measure.MeasureModel(n, k), x)
-    reference = radial * (coherent._f_series_vec(k, np.outer(x, g)) @ grid_w)
-    got = captured[0](x)
+    log_x = np.log([1e-6, 0.03, 0.7, 4.0, 25.0, 160.0, 900.0])
+    log_radial = (specfun.log_gamma(n)
+                  + measure._log_radius_density(measure.MeasureModel(n, k), log_x))
+    log_grid_sum = np.log(coherent._f_series_vec(k, np.outer(np.exp(log_x), g)) @ grid_w)
+    reference = log_radial + log_grid_sum
+    got = captured[0](log_x)
     if n == 1:
         assert np.array_equal(got, reference)
     else:
-        assert np.max(np.abs(got - reference) / reference) <= 1e-15
+        rounding = np.finfo(float).eps * (np.abs(log_radial) + np.abs(log_grid_sum))
+        assert np.all(np.abs(got - reference) <= 1e-15 + rounding)
 
 
 def test_kernel_trace_quadrature_refuses_n5_before_building_the_grid(monkeypatch):

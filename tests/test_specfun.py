@@ -52,37 +52,6 @@ def test_gamma_domain():
         specfun.gamma(200.0)
 
 
-def test_beta_values():
-    assert specfun.beta(2, 3) == pytest.approx(1.0 / 12.0, rel=1e-14)
-    assert specfun.beta(0.5, 0.5) == pytest.approx(math.pi, rel=1e-14)
-    # large arguments stay representable through the log-space route
-    assert specfun.beta(400.0, 2.0) == pytest.approx(1.0 / (400.0 * 401.0), rel=1e-12)
-
-
-@given(st.floats(min_value=0.1, max_value=20.0), st.floats(min_value=0.1, max_value=20.0))
-def test_beta_symmetry(p, q):
-    assert specfun.beta(p, q) == pytest.approx(specfun.beta(q, p), rel=1e-13)
-
-
-def test_pochhammer_values():
-    assert specfun.pochhammer(3.0, 0) == 1.0
-    assert specfun.pochhammer(1.0, 5) == 120.0
-    assert specfun.pochhammer(0.5, 3) == 0.5 * 1.5 * 2.5
-    # stays defined where the Gamma-ratio form is singular
-    assert specfun.pochhammer(-2.0, 4) == 0.0
-    assert specfun.pochhammer(-2.5, 2) == (-2.5) * (-1.5)
-    with pytest.raises(ValueError):
-        specfun.pochhammer(1.0, -1)
-    with pytest.raises(ValueError):
-        specfun.pochhammer(1.0, 2.5)
-
-
-@given(st.floats(min_value=0.1, max_value=10.0), st.integers(min_value=0, max_value=12))
-def test_pochhammer_matches_gamma_ratio(a, n):
-    expected = specfun.gamma(a + n) / specfun.gamma(a)
-    assert specfun.pochhammer(a, n) == pytest.approx(expected, rel=1e-12)
-
-
 def test_bessel_i_frozen_values():
     assert specfun.bessel_i(1.0, 2.0) == pytest.approx(I_1_AT_2, rel=1e-14)
     assert specfun.bessel_i(0.0, 2.0) == pytest.approx(I_0_AT_2, rel=1e-14)
@@ -161,7 +130,7 @@ def test_bessel_k_vec_is_bessel_k_lane_by_lane(nu, log10_xs):
     one-point call, on both sides of the small-argument form."""
     assert specfun._LANE_BLOCK < 257
     xs = [10.0**e for e in log10_xs]
-    got = np.exp(specfun._bessel_k_log_vec(nu, xs)).tolist()
+    got = np.exp(specfun._bessel_k_log_vec(nu, xs, np.log(xs))).tolist()
     assert got == [specfun.bessel_k(nu, x) for x in xs]
 
 
@@ -235,8 +204,9 @@ def _first_error(nu, xs):
 
 
 def _vector_error(nu, xs):
-    with pytest.raises((ValueError, OverflowError, specfun.ConvergenceError)) as info:
-        specfun._bessel_k_log_vec(nu, xs)
+    with pytest.raises((ValueError, OverflowError, specfun.ConvergenceError)) as info, \
+            np.errstate(divide="ignore", invalid="ignore"):
+        specfun._bessel_k_log_vec(nu, xs, np.log(xs))
     return info.type, str(info.value)
 
 
@@ -277,14 +247,17 @@ def test_bessel_k_log_vec_is_the_log_of_bessel_k_vec():
     OVERFLOW_X) and raises bessel_k's other errors."""
     nu = -1.4038079065171498
     xs = np.geomspace(1e-200, 600.0, 300)
-    log_k = specfun._bessel_k_log_vec(nu, xs)
+    log_k = specfun._bessel_k_log_vec(nu, xs, np.log(xs))
     assert np.exp(log_k).tolist() == [specfun.bessel_k(nu, x) for x in xs.tolist()]
     expected = float(oracles.mp.log(oracles.bessel_k_mp(nu, OVERFLOW_X)))
-    assert specfun._bessel_k_log_vec(nu, [OVERFLOW_X])[0] == pytest.approx(expected, rel=1e-14)
-    with pytest.raises(ValueError, match=r"^bessel_k requires x > 0, got 0\.0$"):
-        specfun._bessel_k_log_vec(nu, [OVERFLOW_X, 0.0])
+    assert specfun._bessel_k_log_vec(nu, [OVERFLOW_X], np.log([OVERFLOW_X]))[0] == pytest.approx(
+        expected, rel=1e-14)
+    with pytest.raises(ValueError, match=r"^bessel_k requires x > 0, got 0\.0$"), \
+            np.errstate(divide="ignore"):
+        specfun._bessel_k_log_vec(nu, [OVERFLOW_X, 0.0], np.log([OVERFLOW_X, 0.0]))
+    xs = [5.0] * 300 + [float("nan")]
     with pytest.raises(ValueError, match=r"^x must be finite, got nan$"):
-        specfun._bessel_k_log_vec(nu, [5.0] * 300 + [float("nan")])
+        specfun._bessel_k_log_vec(nu, xs, np.log(xs))
 
 
 BOX_NUS = (-5.0, -3.3, -1.0, -0.4, 0.0, 0.3, 1.0, 1.9, 2.5, 3.7, 4.5, 5.0)
@@ -351,18 +324,39 @@ def test_bessel_k_finite_up_to_the_double_limit(nu, x):
     assert specfun.bessel_k(nu, x) == pytest.approx(float(expected), rel=1e-13)
 
 
-def test_beta_finite_up_to_the_double_limit():
-    """B(p, 1) = 1/p, whose log is 709.2 at p = 1e-308."""
-    assert specfun.beta(1e-308, 1.0) == pytest.approx(1e308, rel=1e-13)
-    with pytest.raises(OverflowError, match=r"exceeds double range"):
-        specfun.beta(1e-309, 1.0)
-
-
 def test_bessel_k_large_argument_accuracy():
     """At this point of the dense box grid (geomspace(1e-3, 300, 200)) the
     exponent's terms are ~264 in size; one fixed-step sum holds 5e-14."""
     x = 264.286396801017
     assert specfun.bessel_k(3.5, x) == pytest.approx(float(oracles.bessel_k_mp(3.5, x)), rel=5e-14)
+
+
+@pytest.mark.parametrize("nu", [0.0, 1e-12, 1e-6, 0.01, 0.05])
+@pytest.mark.parametrize("log_x", [-745.0, -3000.0, -30000.0])
+def test_bessel_k_log_argument_below_the_smallest_double(nu, log_x):
+    """x = e^log_x underflows to 0 (or to the smallest subnormal at -745);
+    the kernel reads log x there.  For |nu| < 0.056 the one-term form
+    still drops ~(x/2)^(2|nu|) relative, so these points take the
+    two-term form.  Compared in log K, which reaches 1502 at the last
+    point, where K itself is far beyond double range."""
+    x = math.exp(log_x)
+    assert x <= 5e-324
+    got = specfun._bessel_k_log_vec(nu, [x], [log_x])[0]
+    expected = float(oracles.mp.log(oracles.bessel_k_log_x(nu, log_x)))
+    assert got == pytest.approx(expected, rel=1e-15, abs=2e-14)
+    assert specfun._bessel_k_log_vec(-nu, [x], [log_x])[0] == got
+
+
+@pytest.mark.parametrize("nu,x", [(1e-12, 4.821784e-318), (1e-12, 7.0892931283655e-310),
+                                  (0.0, 1.0680091576616656e-307), (-0.03, 3.048470283801121e-308),
+                                  (0.01, 1e-320), (0.05, 1e-309)])
+def test_bessel_k_small_order_at_subnormal_argument(nu, x):
+    """Below 45 / (largest double) cosh overflows inside the quadrature's
+    window and cuts it short, which returned K_(1e-12)(4.8e-318) as 710.4
+    against 730.76 and raised ConvergenceError at the last two points; the
+    two-term form holds 2e-14 there."""
+    assert x < specfun._QUAD_X_MIN
+    assert specfun.bessel_k(nu, x) == pytest.approx(float(oracles.bessel_k_mp(nu, x)), rel=2e-14)
 
 
 def test_bessel_domain_errors():
