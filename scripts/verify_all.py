@@ -100,8 +100,8 @@ def check_formulas(args):
 
 def check_trace(args):
     worst = 0.0
-    for mu in ([1.0], [1.0, 1.6], [1.0, 1.6, 2.2])[: args.n_max]:
-        hp = pathint.HamiltonianParams.from_mu(mu, c_last=0.3)
+    for n in range(1, args.n_max + 1):
+        hp = pathint.HamiltonianParams.from_mu([1.0 + 0.6 * a for a in range(n)], c_last=0.3)
         for k in (0.5, 1.0, 2.5):
             for beta in (0.5, 1.0, 2.0):
                 expected = pathint.exact_spectral_trace(hp, k, beta)

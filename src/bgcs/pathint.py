@@ -70,7 +70,6 @@ from .quadrature import de_halfline, gauss_legendre_01
 from .specfun import bessel_i, log_gamma
 
 VARIANCE_SAFE_LOG = math.log(4.0)  # kernel-trace MC: finite variance needs beta*mu > ln 4
-KERNEL_QUAD_MAX_N = 4  # the 64^(N-1) angular grid: 262144 points at N = 4
 
 
 @dataclass(frozen=True)
@@ -226,26 +225,32 @@ def diagonal_kernel(z, hp, k, beta):
     return math.exp(-beta * k * hp.c[-1]) * f_series(k, scaled)
 
 
-def _angular_grid(t):
-    """The Gauss-Legendre simplex grid of the kernel trace: per grid point,
-    g = sum_a t_a r_a / R and its weight, with 64^(N-1) points for the
-    N = len(t) Boltzmann factors t (one point of weight 1 at N = 1)."""
-    n = len(t)
-    if n == 1:
-        return np.array([float(t[0])]), np.ones(1)
+def _angular_moments(t):
+    """Moments m_d = sum_j w_j (g_j / g_max)^d, d = 0..MAX_SHELLS, and g_max of
+    the kernel trace's Gauss-Legendre simplex grid for the Boltzmann factors
+    t, one stick-breaking axis at a time, never forming the 64^(N-1) points.
+    On axis a, g = t_a (1 - x) + x g' (g' = t_N on the last) with node weight
+    w x^(N-1-a), and g_max follows the same recursion, as g grows with g'.
+    The last axis sums powers; each outer one maps the inner moments by
+    M_d <- sum_i w_i x_i^(N-1-a) sum_j C(d, j) u_i^(d-j) x_i^j M_j, with
+    u_i = (t_a / g_max) (1 - x_i): one positive-term convolution per node,
+    with c^j / j! (c = MAX_SHELLS / e, in double range) in place of 1 / j!."""
     nodes, weights = gauss_legendre_01()
-    flat = [ax.ravel() for ax in np.meshgrid(*([nodes] * (n - 1)), indexing="ij")]
-    waxes = [wx.ravel() for wx in np.meshgrid(*([weights] * (n - 1)), indexing="ij")]
-    grid_w = np.ones_like(flat[0])
-    for j, (xi, wi) in enumerate(zip(flat, waxes)):
-        grid_w = grid_w * wi * xi ** (n - 2 - j)
-    frac = np.empty((len(flat[0]), n))
-    running = np.ones_like(flat[0])
-    for a in range(n - 1):
-        frac[:, a] = running * (1.0 - flat[a])
-        running = running * flat[a]
-    frac[:, n - 1] = running
-    return t @ frac.T, grid_w
+    g_max = float(t[-1])
+    for ta in t[-2::-1]:
+        g_max = float(np.max(ta * (1.0 - nodes) + nodes * g_max))
+    if len(t) == 1:
+        return np.ones(MAX_SHELLS + 1), g_max
+    ratio = (t[-2] * (1.0 - nodes) + nodes * t[-1]) / g_max
+    table = np.vstack([weights, np.broadcast_to(ratio, (MAX_SHELLS, len(nodes)))])
+    moments = np.cumprod(table, axis=0, out=table).sum(axis=1)
+    powers = np.arange(MAX_SHELLS + 1)
+    scale = np.cumprod(np.r_[1.0, (MAX_SHELLS / math.e) / powers[1:]])  # c^d / d!
+    for p, ta in enumerate(t[-3::-1], start=1):
+        inner = moments * scale
+        moments = sum(w * x**p * np.convolve(inner * x**powers, scale * u**powers)[: MAX_SHELLS + 1]
+                      for x, w, u in zip(nodes, weights, (ta / g_max) * (1.0 - nodes))) / scale
+    return moments, g_max
 
 
 def _kernel_quadrature(hp, k, beta, tol):
@@ -259,22 +264,16 @@ def _kernel_quadrature(hp, k, beta, tol):
         sum_j w_j F(K; x g_j) = sum_d Gamma(K) (x g_max)^d m_d / (d! Gamma(K+d)),
         m_d = sum_j w_j (g_j / g_max)^d,
 
-    with every term positive, so the moments m_d are summed once per call
-    and each radial node x runs one weighted shell pass instead of one per
-    grid point.  The m_d are taken from the quadrature grid on purpose: the
-    closed-form moments of g, d! (N-1)! / (N-1+d)! h_d(t), would turn this
-    route into the spectral trace's product formula, and the
-    kernel-vs-spectral check would then compare that formula with itself.
+    with every term positive, so the moments m_d are summed once per call,
+    one axis at a time (_angular_moments), and each radial node x runs one
+    weighted shell pass instead of one per grid point.  The m_d are taken
+    from the quadrature grid on purpose: the closed-form moments of g,
+    d! (N-1)! / (N-1+d)! h_d(t), would turn this route into the spectral
+    trace's product formula, and the kernel-vs-spectral check would then
+    compare that formula with itself.
     """
     n = hp.n
-    g, grid_w = _angular_grid(np.exp(-beta * hp.mu))
-    g_max = float(np.max(g))
-    ratio = g / g_max
-    moments = np.empty(MAX_SHELLS + 1)
-    scaled = grid_w.copy()
-    for d in range(MAX_SHELLS + 1):
-        moments[d] = scaled.sum()
-        scaled *= ratio
+    moments, g_max = _angular_moments(np.exp(-beta * hp.mu))
     model = measure.MeasureModel(n, k)
     log_norm = log_gamma(n)  # the grid weights sum to 1/(N-1)!
 
@@ -293,8 +292,8 @@ def exact_kernel_trace(hp, k, beta, mode="quadrature", budget=10**6,
     """Trace of exp(-beta H) computed as the measure integral of the
     diagonal kernel; must reproduce exact_spectral_trace.
 
-    Quadrature mode raises ValueError above N = 4: at N = 5 its 64^(N-1)
-    angular grid has 16.8 million points, gigabytes of arrays.
+    Quadrature mode has no cap on N (its angular moments cost O(64 D^2) per
+    axis, D = MAX_SHELLS + 1); it raises OverflowError where F overflows.
 
     Monte Carlo mode averages the diagonal kernel over exact samples.  Its
     second moment is finite only when every beta*mu_a exceeds ln 4 (the
@@ -310,11 +309,6 @@ def exact_kernel_trace(hp, k, beta, mode="quadrature", budget=10**6,
     params = {"n": hp.n, "k": k, "c": list(hp.c), "beta": beta, "mode": mode}
     prefactor = math.exp(-beta * k * hp.c[-1])
     if mode == "quadrature":
-        if hp.n > KERNEL_QUAD_MAX_N:
-            raise ValueError(
-                f"quadrature kernel trace supports N <= {KERNEL_QUAD_MAX_N}: at N = {hp.n} "
-                f"its 64^(N-1) angular grid has {64 ** (hp.n - 1)} points; "
-                f"use mode='montecarlo'")
         value, err = _kernel_quadrature(hp, k, beta, tol)
         return TraceResult(prefactor * value, prefactor * err, params)
     if mode != "montecarlo":

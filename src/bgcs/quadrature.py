@@ -1,4 +1,4 @@
-"""Quadrature building blocks: the trapezoid refiner, Gauss-Legendre tables,
+"""Quadrature building blocks: the trapezoid refiner, one Gauss-Legendre table,
 a tanh-sinh map, and a double-exponential transform for half-line integrals.
 
 The bottom layer: it imports nothing from bgcs and defines ConvergenceError.
@@ -39,10 +39,10 @@ class ConvergenceError(RuntimeError):
     """A series or quadrature failed to reach its tolerance within budget."""
 
 
-@lru_cache(maxsize=8)
-def gauss_legendre_01(n=64):
-    """Gauss-Legendre nodes and weights mapped from (-1, 1) to (0, 1)."""
-    x, w = leggauss(n)
+@lru_cache(maxsize=1)
+def gauss_legendre_01():
+    """The 64 Gauss-Legendre nodes and weights mapped from (-1, 1) to (0, 1)."""
+    x, w = leggauss(64)
     return 0.5 * (x + 1.0), 0.5 * w
 
 

@@ -8,6 +8,8 @@ came from and let anyone re-derive them.
 """
 
 import mpmath as mp
+import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 mp.mp.dps = 50
 
@@ -159,3 +161,29 @@ def radial_cdf(n, k, q):
         return density * r / (s * v) / (mp.gamma(k) * mp.gamma(n))
 
     return mp.quad(integrand, [0, q**s])
+
+
+def angular_grid(t):
+    """The kernel trace's Gauss-Legendre simplex grid, point by point: per
+    point, g = sum_a t_a r_a / R and its weight, with 64^(N-1) points for
+    the N = len(t) Boltzmann factors t (one point of weight 1 at N = 1).
+    The stick-breaking axes x_1..x_{N-1} take the 64-node rule on (0, 1),
+    r_a / R = x_1 ... x_{a-1} (1 - x_a) (the last without its 1 - x), and
+    axis j weighs its node by x_j^(N-1-j)."""
+    n = len(t)
+    if n == 1:
+        return np.array([float(t[0])]), np.ones(1)
+    nodes, weights = leggauss(64)
+    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+    flat = [ax.ravel() for ax in np.meshgrid(*([nodes] * (n - 1)), indexing="ij")]
+    waxes = [wx.ravel() for wx in np.meshgrid(*([weights] * (n - 1)), indexing="ij")]
+    grid_w = np.ones_like(flat[0])
+    for j, (xi, wi) in enumerate(zip(flat, waxes)):
+        grid_w = grid_w * wi * xi ** (n - 2 - j)
+    frac = np.empty((len(flat[0]), n))
+    running = np.ones_like(flat[0])
+    for a in range(n - 1):
+        frac[:, a] = running * (1.0 - flat[a])
+        running = running * flat[a]
+    frac[:, n - 1] = running
+    return t @ frac.T, grid_w

@@ -10,6 +10,7 @@ import scipy.integrate
 import scipy.linalg
 import scipy.special
 
+import oracles
 from bgcs import coherent, fock, measure, pathint, specfun
 
 # frozen via tests/oracles.py geometric_trace
@@ -121,11 +122,13 @@ def test_diagonal_kernel_vs_expm():
     assert complex(closed) == pytest.approx(complex(sandwich), rel=1e-12)
 
 
-KERNEL_MU = {1: [1.0], 2: [1.0, 1.6], 3: [1.0, 1.3, 1.7], 4: [1.0, 1.3, 1.7, 2.1]}
+KERNEL_MU = {1: [1.0], 2: [1.0, 1.6], 3: [1.0, 1.3, 1.7], 4: [1.0, 1.3, 1.7, 2.1],
+             5: [1.0, 1.3, 1.7, 2.1, 2.5], 6: [1.0, 1.3, 1.7, 2.1, 2.5, 2.9]}
 
 
 @pytest.mark.parametrize("n,k,beta", [(1, 0.5, 1.0), (1, 2.5, 2.0), (2, 1.0, 0.5),
-                                      (3, 3.5, 0.5), (4, 4.5, 2.0)])
+                                      (3, 3.5, 0.5), (4, 4.5, 2.0), (5, 2.5, 2.0),
+                                      (6, 0.7, 1.0)])
 def test_kernel_trace_quadrature_matches_spectral(n, k, beta):
     hp = pathint.HamiltonianParams.from_mu(KERNEL_MU[n], c_last=0.3)
     res = pathint.exact_kernel_trace(hp, k, beta, mode="quadrature")
@@ -134,23 +137,24 @@ def test_kernel_trace_quadrature_matches_spectral(n, k, beta):
 
 
 @pytest.mark.parametrize("n,k,beta", [(1, 0.5, 1.0), (1, 2.5, 0.5), (2, 1.0, 0.5),
-                                      (2, 2.5, 2.0), (3, 2.5, 2.0), (3, 3.5, 0.5)])
+                                      (2, 2.5, 2.0), (3, 2.5, 2.0), (3, 3.5, 0.5),
+                                      (4, 2.5, 0.5)])
 def test_kernel_moment_form_is_the_grid_sum(monkeypatch, n, k, beta):
     """The angular moment form of the log integrand equals the reference that
-    sums F(K; x g_j) over every grid point, in log form: bit for bit at
-    N = 1, where the grid is one point of weight 1, and otherwise to 1e-15
-    in F plus the rounding of the two logs the integrand adds, eps (|log
-    radial| + |log F|)."""
+    sums F(K; x g_j) over every point of the explicit grid
+    (oracles.angular_grid), in log form: bit for bit at N = 1, where the
+    grid is one point of weight 1, and otherwise to 1e-15 in F plus the
+    rounding of the two logs the integrand adds, eps (|log radial| + |log F|)."""
     captured = []  # the log integrand that _kernel_quadrature hands to de_halfline
     monkeypatch.setattr(pathint, "de_halfline",
                         lambda log_f, *a, **kw: captured.append(log_f) or (0.0, 0.0))
     hp = pathint.HamiltonianParams.from_mu(KERNEL_MU[n], c_last=0.3)
     pathint.exact_kernel_trace(hp, k, beta)
-    g, grid_w = pathint._angular_grid(np.exp(-beta * hp.mu))
+    g, grid_w = oracles.angular_grid(np.exp(-beta * hp.mu))
     log_x = np.log([1e-6, 0.03, 0.7, 4.0, 25.0, 160.0, 900.0])
     log_radial = (specfun.log_gamma(n)
                   + measure._log_radius_density(measure.MeasureModel(n, k), log_x))
-    log_grid_sum = np.log(coherent._f_series_vec(k, np.outer(np.exp(log_x), g)) @ grid_w)
+    log_grid_sum = np.log([coherent._f_series_vec(k, x * g) @ grid_w for x in np.exp(log_x)])
     reference = log_radial + log_grid_sum
     got = captured[0](log_x)
     if n == 1:
@@ -160,17 +164,15 @@ def test_kernel_moment_form_is_the_grid_sum(monkeypatch, n, k, beta):
         assert np.all(np.abs(got - reference) <= 1e-15 + rounding)
 
 
-def test_kernel_trace_quadrature_refuses_n5_before_building_the_grid(monkeypatch):
-    """Above N = 4 quadrature mode raises, naming the grid, before it builds
-    anything; Monte Carlo mode still runs there."""
-
-    def build(*args):
-        pytest.fail("the N = 5 quadrature trace started building its grid")
-
-    monkeypatch.setattr(pathint, "_angular_grid", build)
-    hp = pathint.HamiltonianParams.from_mu([1.0, 1.3, 1.7, 2.1, 2.5])
-    with pytest.raises(ValueError, match=r"N <= 4: at N = 5 its 64\^\(N-1\) angular grid"):
-        pathint.exact_kernel_trace(hp, 2.0, 1.0)
+def test_kernel_trace_quadrature_raises_where_f_overflows():
+    """Quadrature mode has no cap on N, and where the overlap series F leaves
+    double range inside the radial window (N = 6, K = 6.5, beta = 0.5) it
+    raises OverflowError rather than return a wrong value.  Monte Carlo mode
+    runs at N = 5."""
+    hp = pathint.HamiltonianParams.from_mu(KERNEL_MU[6], c_last=0.3)
+    with pytest.raises(OverflowError, match="F series"):
+        pathint.exact_kernel_trace(hp, 6.5, 0.5)
+    hp = pathint.HamiltonianParams.from_mu(KERNEL_MU[5])
     res = pathint.exact_kernel_trace(hp, 2.0, 1.0, mode="montecarlo", budget=2000, seed=3)
     assert math.isfinite(res.value)
 
