@@ -71,7 +71,7 @@ def check_moments(args):
 
 def check_resolution(args):
     worst = 0.0
-    grids = [(1, 6, (0.25, 0.5, 1.0, 2.0)), (2, 4, (0.75, 1.5, 3.0))]
+    grids = [(1, 6, (0.25, 0.5, 1.0, 2.0)), (2, 4, (0.75, 1.5, 3.0)), (3, 4, (1.0, 2.5))]
     for n, cutoff, ks in grids[: args.n_max]:
         for k in ks:
             res = measure.resolution_check(measure.MeasureModel(n, k), cutoff)

@@ -132,10 +132,15 @@ def _shell_sum(k, s, tol, max_shells, weights=None):
 
     Every lane has had two small shells in a row exactly when all lanes
     were below at shell d and all were below at shell d-1, so two flags
-    carry the stop rule.  A shell allocates nothing: it writes into
-    buffers made once per call.  The product shell * s goes to a buffer
-    of its own, because numpy's in-place complex multiply can round
-    differently from the out-of-place one."""
+    carry the stop rule.  One watched lane is read first, as scalars: above
+    twice its bound (wider than any gap between Python's and numpy's abs),
+    the shell is "not all below" with no array pass; a failed array test
+    watches its first lane above (at first, the largest |s|).  So a call
+    stops where the array test alone would.  Buffers are made once per call;
+    shell * s has its own: numpy's in-place complex multiply rounds apart.
+    numpy divides complex by real c as (re + im 0)(1/c), so complex lanes
+    scale their float view by 1/c, same bits if finite; real a/c != a(1/c)."""
+    shape, s = s.shape, s.ravel()
     shell = np.ones_like(s)
     total = shell.copy() if weights is None else shell * weights[0]
     product = np.empty_like(shell)
@@ -143,14 +148,22 @@ def _shell_sum(k, s, tol, max_shells, weights=None):
     size = np.empty(s.shape, dtype=shell.real.dtype)  # |term|
     bound = np.empty_like(size)  # tol * max(|total|, 1e-300)
     below = np.empty(s.shape, dtype=bool)
+    views = (product.view(size.dtype), shell.view(size.dtype)) if np.iscomplexobj(s) else None
+    watch = int(np.abs(s).argmax()) if s.size else 0
     was_below = converged = False
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite lanes raise below
         for d in range(1, max_shells + 1):
             np.multiply(shell, s, out=product)
-            np.divide(product, d * (k + d - 1.0), out=shell)
+            if views:
+                np.multiply(views[0], 1.0 / (d * (k + d - 1.0)), out=views[1])
+            else:
+                np.divide(product, d * (k + d - 1.0), out=shell)
             if weights is not None:
                 np.multiply(shell, weights[d], out=term)
             np.add(total, term, out=total)
+            if s.size and abs(term.item(watch)) > 2.0 * tol * max(abs(total.item(watch)), 1e-300):
+                was_below = False
+                continue
             np.abs(term, out=size)
             np.abs(total, out=bound)
             np.maximum(bound, 1e-300, out=bound)
@@ -160,11 +173,12 @@ def _shell_sum(k, s, tol, max_shells, weights=None):
                 converged = True
                 break
             was_below = is_below
+            watch = watch if is_below else int(np.argmin(below))
     if not np.all(np.isfinite(total)):
         raise OverflowError(f"F series (k={k}) exceeds double range")
     if not converged:
         raise ConvergenceError(f"F series did not converge within {max_shells} shells")
-    return total
+    return total.reshape(shape)
 
 
 def f_series(k, w, tol=SHELL_TOL, max_shells=MAX_SHELLS):

@@ -57,12 +57,13 @@ class RunningMoments:
 
     def add(self, values):
         values = np.asarray(values)
+        magnitude = np.abs(values)
         self.n += values.size
         with np.errstate(over="ignore"):  # heavy tails saturate to inf, reported via sem
             self.s1 += complex(np.sum(values))
-            self.s2 += float(np.sum(np.abs(values) ** 2))
+            self.s2 += float(np.sum(magnitude**2))
         if values.size:
-            self.max_abs = max(self.max_abs, float(np.max(np.abs(values))))
+            self.max_abs = max(self.max_abs, float(np.max(magnitude)))
 
     def merge(self, other):
         self.n += other.n

@@ -88,6 +88,35 @@ def f_sum(k, w, terms=60):
     return axis(0, mp.mpf(1), 0)
 
 
+def shell_sum_reference(k, s, tol, max_shells, weights=None):
+    """The overlap shell recurrence with the stop test read on every lane at
+    every shell and complex lanes divided by the real shell factor: the
+    plain loop that bgcs.coherent._shell_sum must match bit for bit, error
+    for error.  Stops once every lane has had two consecutive (weighted)
+    shells at most tol * max(|partial sum|, 1e-300)."""
+    from bgcs.specfun import ConvergenceError
+
+    shell = np.ones_like(s)
+    total = shell.copy() if weights is None else shell * weights[0]
+    was_below = converged = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in range(1, max_shells + 1):
+            shell = shell * s
+            shell = np.divide(shell, d * (k + d - 1.0))
+            term = shell if weights is None else shell * weights[d]
+            total = total + term
+            is_below = bool(np.all(np.abs(term) <= np.maximum(np.abs(total), 1e-300) * tol))
+            if is_below and was_below:
+                converged = True
+                break
+            was_below = is_below
+    if not np.all(np.isfinite(total)):
+        raise OverflowError(f"F series (k={k}) exceeds double range")
+    if not converged:
+        raise ConvergenceError(f"F series did not converge within {max_shells} shells")
+    return total
+
+
 def radial_moment(n, k, occupations):
     """Expectation E[prod r^n] under the probability measure, via the Gamma
     mixture: prod Gamma(n_a + 1) * Gamma(K + |n|) / Gamma(K).  The

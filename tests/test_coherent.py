@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bgcs import coherent, fock, specfun
+import oracles
+from bgcs import coherent, fock, pathint, specfun
 
 # frozen via tests/oracles.py f_sum (brute-force multi-index sums, 50 digits)
 F1_1P5_2P3 = 3.414663050649315402456
@@ -177,6 +178,122 @@ def test_overflow_raises_overflow_not_convergence_error():
         coherent.f_series(1.0, [1e300 + 1e300j])
     with pytest.raises(coherent.ConvergenceError):
         coherent._f_series_vec(1.0, np.array([0.5, 50.0]), max_shells=3)
+
+
+def _outcome(f, k, s, max_shells=coherent.MAX_SHELLS, weights=None, tol=coherent.SHELL_TOL):
+    """A shell sum's bits, dtype and shape, or its error class and text."""
+    try:
+        total = f(k, s, tol, max_shells, weights)
+    except (OverflowError, coherent.ConvergenceError) as exc:
+        return type(exc), str(exc)
+    return total.dtype, total.shape, total.tobytes()
+
+
+def _shell_family(name, lanes, rng):
+    """(k, s, weights) for one family of lanes: real, negative, purely
+    imaginary, complex near the negative axis, complex in a disc, a 2-D
+    batch as the sliced trace passes it, and real or complex lanes under
+    shell weights."""
+    k = float(rng.uniform(0.05, 8.0))
+    ramp = np.linspace(0.5, 2.0, coherent.MAX_SHELLS + 1)
+    return {
+        "real": (k, rng.uniform(-60.0, 60.0, lanes), None),
+        "negative": (k, -rng.uniform(0.0, 400.0, lanes), None),
+        "imaginary": (k, 1j * rng.uniform(-50.0, 50.0, lanes), None),
+        "near-negative-axis": (k, rng.uniform(-400.0, 60.0, lanes)
+                               + 1j * rng.uniform(-40.0, 40.0, lanes), None),
+        "disc": (k, rng.uniform(0.0, 30.0, lanes)
+                 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, lanes)), None),
+        "sliced": (k, (rng.uniform(-2.0, 3.0, (lanes, 3))
+                       + 1j * rng.uniform(-3.0, 3.0, (lanes, 3))), None),
+        "weighted-real": (k, rng.uniform(0.0, 50.0, lanes), ramp),
+        "weighted-complex": (k, rng.uniform(-50.0, 50.0, lanes) + 0.5j, ramp),
+    }[name]
+
+
+@pytest.mark.parametrize("lanes", [0, 1, 2, 7, 300, 3000])
+@pytest.mark.parametrize("family", ["real", "negative", "imaginary", "near-negative-axis",
+                                    "disc", "sliced", "weighted-real", "weighted-complex"])
+def test_shell_sum_is_the_reference_loop(family, lanes):
+    """The kernel's watched-lane stop test and its reciprocal scaling of
+    complex lanes leave every bit of the plain every-lane loop."""
+    k, s, weights = _shell_family(family, lanes, np.random.default_rng(lanes))
+    assert (_outcome(coherent._shell_sum, k, s, weights=weights)
+            == _outcome(oracles.shell_sum_reference, k, s, weights=weights))
+
+
+@pytest.mark.parametrize("mu", [[1.0, 1.6], [1.0, 1.6, 2.2]])
+@pytest.mark.parametrize("beta", [0.5, 2.0])
+def test_kernel_trace_shell_sum_is_the_reference_loop(mu, beta):
+    """The weighted pass of the quadrature kernel trace, over radial nodes
+    from 1e-3 to 300: the reference loop's bits."""
+    moments, g_max = pathint._angular_moments(np.exp(-beta * np.array(mu)))
+    s = np.geomspace(1e-3, 300.0, 97) * g_max
+    for k in (0.5, 2.5):
+        assert (_outcome(coherent._shell_sum, k, s, weights=moments)
+                == _outcome(oracles.shell_sum_reference, k, s, weights=moments))
+
+
+@pytest.mark.parametrize("s, max_shells, error", [
+    (np.array([0.5, np.inf, 2.0]), coherent.MAX_SHELLS, OverflowError),
+    (np.array([0.5, 2.0, 1.0 + np.inf * 1j]), coherent.MAX_SHELLS, OverflowError),
+    (np.array([0.5, np.nan, 2.0]), coherent.MAX_SHELLS, OverflowError),
+    (np.array([0.5, 2.0 + np.nan * 1j]), coherent.MAX_SHELLS, OverflowError),
+    (np.array([0.5, 1e300 + 1e300j]), coherent.MAX_SHELLS, OverflowError),
+    (np.array([0.5, 50.0]), 3, coherent.ConvergenceError),
+    (np.array([0.5, -50.0 + 1j]), 4, coherent.ConvergenceError),
+])
+def test_shell_sum_errors_are_the_reference_loops(s, max_shells, error):
+    """An inf or NaN lane, a lane past double range and too few shells
+    raise the reference loop's error, class and text."""
+    got = _outcome(coherent._shell_sum, 1.5, s, max_shells)
+    assert got[0] is error
+    assert got == _outcome(oracles.shell_sum_reference, 1.5, s, max_shells)
+
+
+class _CountingNumpy:
+    """numpy, counting the kernel's array stop tests (one np.less_equal each)."""
+
+    def __init__(self):
+        self.tests = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def less_equal(self, *args, **kwargs):
+        self.tests += 1
+        return np.less_equal(*args, **kwargs)
+
+
+@pytest.mark.parametrize("s", [np.array([400.0, -300.0]), np.array([400.0, 0.5, -300.0 + 1j])])
+def test_watched_lane_moves_to_the_last_lane_above(monkeypatch, s):
+    """The lane of largest |s| is watched first, but the 400 lane settles at
+    shell 50 and the -300 lane, whose sum is small, at shell 62.  A failed
+    array test must hand the watch to that lane, so the shells in between
+    skip the array test; watching the first lane throughout would run it
+    on each of them (14 tests in all)."""
+    counting = _CountingNumpy()
+    monkeypatch.setattr(coherent, "np", counting)
+    got = _outcome(coherent._shell_sum, 1.5, s)
+    monkeypatch.undo()
+    assert got == _outcome(oracles.shell_sum_reference, 1.5, s)
+    assert counting.tests <= 4
+
+
+def test_watched_lane_margin_covers_the_abs_rounding_gap():
+    """Python's abs and numpy's array abs differ in the last bit for about a
+    third of complex arguments.  Here |s| reads 1.061307331223928 in Python
+    and one ulp less in numpy, and tol is set so numpy's bound equals that:
+    the array test finds shell 1 below and (weight 0) so is shell 2, so the
+    sum stops at shell 2.  A scalar pre-test without its factor-2 margin
+    would read shell 1 as above and raise ConvergenceError."""
+    s = np.array([0.6284737507154365 + 0.8552157598941496j])
+    weights = np.array([1.7019116978095954, 1.0, 0.0])
+    tol = 0.42754037506256404
+    assert abs(complex(s[0])) > float(np.abs(s)[0])  # the gap this test needs
+    got = _outcome(coherent._shell_sum, 1.0, s, 2, weights, tol)
+    assert got == _outcome(oracles.shell_sum_reference, 1.0, s, 2, weights, tol)
+    assert got[0] == np.complex128
 
 
 @given(st.floats(min_value=0.3, max_value=5.0),

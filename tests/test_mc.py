@@ -99,3 +99,16 @@ def test_running_moments_edge_cases():
     assert acc.mean == 1.5 and acc.sem == math.inf
     acc.add([-1.5])
     assert acc.mean == 0.0 and acc.max_fraction == 0.0
+
+
+def test_running_moments_reads_one_modulus_per_value():
+    """s2 and max_abs of a complex batch are the sum of squares and the
+    largest of its moduli, bit for bit; an empty batch changes nothing."""
+    values = np.random.default_rng(7).standard_normal(1001) * (1.0 - 2.5j) + 0.3j
+    acc = mc.RunningMoments()
+    acc.add(values)
+    acc.add(np.array([], dtype=complex))
+    assert acc.n == 1001
+    assert acc.s1 == complex(np.sum(values))
+    assert acc.s2 == float(np.sum(np.abs(values) ** 2))
+    assert acc.max_abs == float(np.max(np.abs(values)))
