@@ -181,12 +181,12 @@ def _shell_sum(k, s, tol, max_shells, weights=None):
     return total.reshape(shape)
 
 
-def f_series(k, w, tol=SHELL_TOL, max_shells=MAX_SHELLS):
-    """Value of F_N(K; w): the shell sum at s = sum(w), a float when every
-    w_a is real."""
+def f_series(k, w):
+    """Value of F_N(K; w) to SHELL_TOL: the shell sum at s = sum(w), a float
+    when every w_a is real.  K must be finite and > 0."""
     k = float(k)
-    if k <= 0.0:
-        raise ValueError(f"need k > 0, got {k}")
+    if not (k > 0.0 and math.isfinite(k)):
+        raise ValueError(f"need finite k > 0, got {k}")
     w = np.asarray(w, dtype=complex).ravel()
     if w.size < 1:
         raise ValueError("need at least one argument component")
@@ -194,20 +194,20 @@ def f_series(k, w, tol=SHELL_TOL, max_shells=MAX_SHELLS):
         raise ValueError("argument components must be finite")
     s = np.sum(w)
     if np.all(w.imag == 0.0):
-        return float(_shell_sum(k, np.array([s.real]), tol, max_shells)[0])
-    return complex(_shell_sum(k, np.array([s]), tol, max_shells)[0])
+        return float(_shell_sum(k, np.array([s.real]), SHELL_TOL, MAX_SHELLS)[0])
+    return complex(_shell_sum(k, np.array([s]), SHELL_TOL, MAX_SHELLS)[0])
 
 
-def _f_series_vec(k, s, tol=SHELL_TOL, max_shells=MAX_SHELLS, weights=None):
-    """F over an array of (already summed) arguments s; the hot path of the
-    Monte Carlo and quadrature trace evaluations.  `weights` (length
-    max_shells + 1) weights shell d by weights[d], as in _shell_sum."""
+def _f_series_vec(k, s, weights=None):
+    """F over an array of (already summed) arguments s to SHELL_TOL; the hot
+    path of the Monte Carlo and quadrature trace evaluations.  `weights`
+    (length MAX_SHELLS + 1) weights shell d by weights[d], as in _shell_sum."""
     s = np.asarray(s, dtype=complex if np.iscomplexobj(s) else float)
-    return _shell_sum(k, s, tol, max_shells, weights)
+    return _shell_sum(k, s, SHELL_TOL, MAX_SHELLS, weights)
 
 
-def inner_product(z, zp, k, tol=SHELL_TOL):
-    """Overlap <z|z'> = F_N(K; (conj(z_a) z'_a))."""
+def inner_product(z, zp, k):
+    """Overlap <z|z'> = F_N(K; (conj(z_a) z'_a)), to f_series' SHELL_TOL."""
     z = np.asarray(z, dtype=complex).ravel()
     zp = np.asarray(zp, dtype=complex).ravel()
     if z.shape != zp.shape:
@@ -215,5 +215,5 @@ def inner_product(z, zp, k, tol=SHELL_TOL):
     if np.array_equal(z, zp):
         # conj(z) * z through the vectorized complex multiply can keep a
         # stray FMA-contracted imaginary residue; the self-overlap is real
-        return f_series(k, z.real**2 + z.imag**2, tol=tol)
-    return f_series(k, np.conj(z) * zp, tol=tol)
+        return f_series(k, z.real**2 + z.imag**2)
+    return f_series(k, np.conj(z) * zp)

@@ -51,7 +51,7 @@ from . import coherent, fock, mc
 from .quadrature import _tanh_sinh, de_halfline, power_integral_01
 from .specfun import _bessel_k_log_vec, gamma, log_gamma
 
-QUAD_TOL = 1e-11
+QUAD_TOL = 1e-11  # the accuracy of every integral below: R CDF, formulas (A) and (B)
 
 
 @dataclass(frozen=True)
@@ -124,17 +124,17 @@ def total_radius_density(model, big_r):
     return np.exp(_log_radius_density(model, np.log(big_r)))
 
 
-def radial_cdf(model, q, tol=QUAD_TOL):
-    """P(R <= q) under dmu, by tanh-sinh integration of the R density in
-    log R.  The density behaves like R^(min(K, N) - 1) at the origin, so
-    the rule's window reaches R = q e^(-55/min(K, N)), where R itself has
-    long underflowed for small K: every K > 0 works."""
+def radial_cdf(model, q):
+    """P(R <= q) under dmu to QUAD_TOL, by tanh-sinh integration of the R
+    density in log R.  The density behaves like R^(min(K, N) - 1) at the
+    origin, so the rule's window reaches R = q e^(-55/min(K, N)), where R
+    itself has long underflowed for small K: every K > 0 works."""
     q = float(q)
     if q <= 0.0:
         raise ValueError(f"need q > 0, got {q}")
     log_q = math.log(q)
     value, _ = _tanh_sinh(lambda log_x, _: log_q + _log_radius_density(model, log_q + log_x),
-                          min(model.k, float(model.n)), tol)
+                          min(model.k, float(model.n)), QUAD_TOL)
     return float(value)
 
 
@@ -142,7 +142,7 @@ def radial_cdf(model, q, tol=QUAD_TOL):
 
 
 @lru_cache(maxsize=4096)
-def _halfline_bessel_factor(c, nu, tol):
+def _halfline_bessel_factor(c, nu):
     """int_0^oo xi^(c-1) K_nu(2 sqrt xi) dxi by the half-line transform.
 
     Near zero the integrand behaves like xi^(c - |nu|/2 - 1), so c must
@@ -156,7 +156,7 @@ def _halfline_bessel_factor(c, nu, tol):
     def log_f(log_x):
         return (c - 1.0) * log_x + _log_bessel_k(nu, math.log(2.0) + 0.5 * log_x)
 
-    value, _ = de_halfline(log_f, c_eff, ("sqrt", 2.0), tol=tol, growth=c - 1.25)
+    value, _ = de_halfline(log_f, c_eff, ("sqrt", 2.0), tol=QUAD_TOL, growth=c - 1.25)
     return value
 
 
@@ -173,7 +173,7 @@ def _bounded_exponents(n, s):
 def _bessel_moment_lhs(n, k, s):
     """Formula (A) left side through the xi substitution."""
     total = float(np.sum(s))
-    value = 2.0 * _halfline_bessel_factor(0.5 * (k + n) + total, k - n, QUAD_TOL)
+    value = 2.0 * _halfline_bessel_factor(0.5 * (k + n) + total, k - n)
     for p, q in _bounded_exponents(n, s):
         value *= power_integral_01(p, q, tol=QUAD_TOL)
     return value
@@ -203,11 +203,13 @@ class CheckResult:
 
 
 def verify_formula_a(n, k, s):
-    """Quadrature-vs-closed-form check of the N-dimensional Bessel moment
-    integral (A) at real exponents s_a > -1."""
+    """Quadrature-vs-closed-form check, to QUAD_TOL, of the N-dimensional
+    Bessel moment integral (A) at real exponents s_a > -1."""
     s = np.asarray(s, dtype=float).ravel()
     if s.shape != (n,):
         raise ValueError(f"need {n} exponents, got shape {s.shape}")
+    if not (math.isfinite(k) and np.all(np.isfinite(s))):
+        raise ValueError(f"K and the exponents must be finite, got K={k}, s={s.tolist()}")
     if np.any(s <= -1.0):
         raise ValueError(f"exponents must exceed -1, got {s.tolist()}")
     if not k > 0.0:
@@ -223,10 +225,12 @@ def verify_formula_a(n, k, s):
     )
 
 
-def verify_formula_b(mu, nu, a, tol=QUAD_TOL):
-    """Quadrature-vs-closed-form check of the Mellin-type K transform (B);
-    the direct half-line route, sharing no path with verify_formula_a."""
+def verify_formula_b(mu, nu, a):
+    """Quadrature-vs-closed-form check of the Mellin-type K transform (B) to
+    QUAD_TOL; the direct half-line route, sharing no path with verify_formula_a."""
     mu, nu, a = float(mu), float(nu), float(a)
+    if not all(map(math.isfinite, (mu, nu, a))):
+        raise ValueError(f"mu, nu and a must be finite, got mu={mu}, nu={nu}, a={a}")
     if a <= 0.0:
         raise ValueError(f"need a > 0, got {a}")
     if mu <= abs(nu):
@@ -237,7 +241,7 @@ def verify_formula_b(mu, nu, a, tol=QUAD_TOL):
     def log_f(log_x):
         return (mu - 1.0) * log_x + _log_bessel_k(nu, log_a + log_x)
 
-    lhs, _ = de_halfline(log_f, mu - abs(nu), ("lin", a), tol=tol, growth=mu - 1.5)
+    lhs, _ = de_halfline(log_f, mu - abs(nu), ("lin", a), tol=QUAD_TOL, growth=mu - 1.5)
     rhs = math.exp(
         (mu - 2.0) * math.log(2.0)
         - mu * math.log(a)
@@ -290,16 +294,17 @@ def sample(model, count, seed=mc.DEFAULT_SEED, workers=1):
 # fixed multiples spanning the body and both shoulders of the distribution;
 # every probe is some quantile of R and p(1-p) stays well away from zero.
 CDF_PROBE_SCALES = (0.1, 0.25, 0.4, 0.6, 0.8, 1.0, 1.3, 1.7, 2.2, 3.0)
+FOURIER_MODES = (1, 2)  # angular modes m of the E[exp(i m theta_a)] = 0 rows
 
 
-def sampler_report(model, count, seed=mc.DEFAULT_SEED, workers=1, fourier_modes=(1, 2)):
+def sampler_report(model, count, seed=mc.DEFAULT_SEED, workers=1):
     """Moment, angular-mode, and total-radius CDF estimates from the exact
     sampler, each with its standard error and the independently computed
     expectation it should match.
 
     Checks: E[r_a] = K, E[r_a^2] = 2K(K+1), E[r_a r_b] = K(K+1) for a != b,
-    E[exp(i m theta_a)] = 0 for m != 0, and the empirical CDF of R at ten
-    fixed quantiles against tanh-sinh integration of the R density.
+    E[exp(i m theta_a)] = 0 for m in FOURIER_MODES, and the empirical CDF of
+    R at ten fixed quantiles against its tanh-sinh integral, radial_cdf.
     """
     k = model.k
     stats = {}
@@ -310,7 +315,7 @@ def sampler_report(model, count, seed=mc.DEFAULT_SEED, workers=1, fourier_modes=
     for a in range(model.n):
         slot(f"r[{a}]", k)
         slot(f"r[{a}]^2", 2.0 * k * (k + 1.0))
-        for m in fourier_modes:
+        for m in FOURIER_MODES:
             slot(f"exp(i{m}theta[{a}])", 0.0)
     for a in range(model.n):
         for b in range(a + 1, model.n):
@@ -325,7 +330,7 @@ def sampler_report(model, count, seed=mc.DEFAULT_SEED, workers=1, fourier_modes=
         for a in range(model.n):
             stats[f"r[{a}]"][0].add(r[:, a])
             stats[f"r[{a}]^2"][0].add(r[:, a] ** 2)
-            for m in fourier_modes:
+            for m in FOURIER_MODES:
                 stats[f"exp(i{m}theta[{a}])"][0].add(np.exp(1j * m * theta[:, a]))
         for a in range(model.n):
             for b in range(a + 1, model.n):

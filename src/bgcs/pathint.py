@@ -70,6 +70,7 @@ from .quadrature import de_halfline, gauss_legendre_01
 from .specfun import bessel_i, log_gamma
 
 VARIANCE_SAFE_LOG = math.log(4.0)  # kernel-trace MC: finite variance needs beta*mu > ln 4
+KERNEL_TOL = 1e-9  # relative accuracy of the quadrature kernel trace
 
 
 @dataclass(frozen=True)
@@ -120,12 +121,12 @@ class TraceConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.weights not in ("exp", "linear"):
             raise ValueError(f"unknown weight form {self.weights!r}")
-        if self.backend == "mc":
-            self.backend = "montecarlo"
         if self.backend not in ("matrix", "montecarlo"):
             raise ValueError(f"unknown backend {self.backend!r}")
         if not isinstance(self.slices, (int, np.integer)) or self.slices < 1:
             raise ValueError(f"need integer slices >= 1, got {self.slices!r}")
+        if not math.isfinite(self.horizon):
+            raise ValueError(f"need a finite horizon, got {self.horizon}")
         if self.mode == "imaginary" and not self.horizon > 0.0:
             raise ValueError(f"imaginary-time horizon must be positive, got {self.horizon}")
 
@@ -198,8 +199,8 @@ def energies(hp, k, space):
 def exact_spectral_trace(hp, k, beta, cutoff=None):
     """Tr exp(-beta H): closed product over modes when cutoff is None,
     otherwise the finite sum over the truncated basis."""
-    if not beta > 0.0:
-        raise ValueError(f"need beta > 0, got {beta}")
+    if not (beta > 0.0 and math.isfinite(beta)):
+        raise ValueError(f"need finite beta > 0, got {beta}")
     mu = hp.mu
     if cutoff is None:
         if np.any(mu <= 0.0):
@@ -218,6 +219,8 @@ def diagonal_kernel(z, hp, k, beta):
     Each basis amplitude just picks up its Boltzmann factor, which folds
     into the overlap series argument mode by mode.
     """
+    if not math.isfinite(beta):
+        raise ValueError(f"need finite beta, got {beta}")
     z = np.asarray(z, dtype=complex).ravel()
     if z.shape != (hp.n,):
         raise ValueError(f"label must have {hp.n} components")
@@ -253,11 +256,11 @@ def _angular_moments(t):
     return moments, g_max
 
 
-def _kernel_quadrature(hp, k, beta, tol):
+def _kernel_quadrature(hp, k, beta):
     """int dmu <z|e^{-beta H}|z> via the simplex substitution: Gauss-Legendre
-    over the bounded xi variables, double-exponential over xi_1 = R, whose
-    factor is (N-1)! times the R density of measure; the rule takes the
-    log of their product, a sum of logs.
+    over the bounded xi variables, double-exponential (to KERNEL_TOL) over
+    xi_1 = R, whose factor is (N-1)! times the R density of measure; the
+    rule takes the log of their product, a sum of logs.
 
     The angular grid sum and the shell sum commute exactly:
 
@@ -283,17 +286,17 @@ def _kernel_quadrature(hp, k, beta, tol):
 
     return de_halfline(
         log_f, min(k, float(n)), ("sqrt", 2.0 * (1.0 - math.sqrt(g_max))),
-        tol=tol, growth=0.5 * (k + n),
+        tol=KERNEL_TOL, growth=0.5 * (k + n),
     )
 
 
 def exact_kernel_trace(hp, k, beta, mode="quadrature", budget=10**6,
-                       seed=mc.DEFAULT_SEED, workers=1, tol=1e-9):
+                       seed=mc.DEFAULT_SEED, workers=1):
     """Trace of exp(-beta H) computed as the measure integral of the
     diagonal kernel; must reproduce exact_spectral_trace.
 
-    Quadrature mode has no cap on N (its angular moments cost O(64 D^2) per
-    axis, D = MAX_SHELLS + 1); it raises OverflowError where F overflows.
+    Quadrature mode, to KERNEL_TOL, has no cap on N (its angular moments cost
+    O(64 D^2) per axis, D = MAX_SHELLS + 1); OverflowError where F overflows.
 
     Monte Carlo mode averages the diagonal kernel over exact samples.  Its
     second moment is finite only when every beta*mu_a exceeds ln 4 (the
@@ -302,14 +305,14 @@ def exact_kernel_trace(hp, k, beta, mode="quadrature", budget=10**6,
     result carries variance_warning=True and the error bar is not
     trustworthy.
     """
-    if not beta > 0.0:
-        raise ValueError(f"need beta > 0, got {beta}")
+    if not (beta > 0.0 and math.isfinite(beta)):
+        raise ValueError(f"need finite beta > 0, got {beta}")
     if np.any(hp.mu <= 0.0):
         raise ValueError(f"kernel trace needs all mu > 0, got {hp.mu.tolist()}")
     params = {"n": hp.n, "k": k, "c": list(hp.c), "beta": beta, "mode": mode}
     prefactor = math.exp(-beta * k * hp.c[-1])
     if mode == "quadrature":
-        value, err = _kernel_quadrature(hp, k, beta, tol)
+        value, err = _kernel_quadrature(hp, k, beta)
         return TraceResult(prefactor * value, prefactor * err, params)
     if mode != "montecarlo":
         raise ValueError(f"unknown mode {mode!r}")

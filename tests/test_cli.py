@@ -121,6 +121,23 @@ def test_domain_error_exit_1(capsys):
     assert code == 1 and "--beta" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["eval-f", "--k", "inf", "--w", "1"], "need finite k > 0"),
+    (["eval-f", "--k", "nan", "--w", "1"], "need finite k > 0"),
+    (["inner", "--k", "inf", "--z", "1", "--zp", "0.5"], "need finite k > 0"),
+    (["formula-a", "--n", "1", "--k", "1", "--s", "inf"], "must be finite"),
+    (["formula-b", "--mu", "inf", "--nu", "0", "--a", "1"], "must be finite"),
+    (["trace", "--n", "1", "--k", "1", "--mu", "1", "--t", "nan", "--mode", "real",
+      "--m", "8", "--cutoff", "4"], "need a finite horizon"),
+    (["trace", "--n", "1", "--k", "1", "--mu", "1", "--beta", "inf", "--m", "8",
+      "--cutoff", "4"], "need a finite horizon"),
+])
+def test_non_finite_parameters_exit_1(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert message in err
+
+
 def test_list_arguments_keep_their_messages(capsys):
     cases = ((["eval-f", "--k", "1", "--w", "1,x"], "numbers", "'1,x'"),
              (["formula-a", "--n", "1", "--k", "1", "--s", "0.5,y"], "reals", "'0.5,y'"),

@@ -163,10 +163,10 @@ def test_shell_weights_scale_each_shell():
     weights = np.zeros(11)
     weights[:3] = (2.0, 3.0, 5.0)
     expected = 2.0 + 3.0 * s / k + 5.0 * s**2 / (2.0 * k * (k + 1.0))
-    got = coherent._f_series_vec(k, s, max_shells=10, weights=weights)
+    got = coherent._shell_sum(k, s, coherent.SHELL_TOL, 10, weights)
     assert got == pytest.approx(expected, rel=1e-15)
     with pytest.raises(coherent.ConvergenceError):
-        coherent._f_series_vec(k, np.array([50.0]), max_shells=3, weights=np.ones(4))
+        coherent._shell_sum(k, np.array([50.0]), coherent.SHELL_TOL, 3, np.ones(4))
 
 
 def test_overflow_raises_overflow_not_convergence_error():
@@ -177,7 +177,7 @@ def test_overflow_raises_overflow_not_convergence_error():
     with pytest.raises(OverflowError):
         coherent.f_series(1.0, [1e300 + 1e300j])
     with pytest.raises(coherent.ConvergenceError):
-        coherent._f_series_vec(1.0, np.array([0.5, 50.0]), max_shells=3)
+        coherent._shell_sum(1.0, np.array([0.5, 50.0]), coherent.SHELL_TOL, 3)
 
 
 def _outcome(f, k, s, max_shells=coherent.MAX_SHELLS, weights=None, tol=coherent.SHELL_TOL):
@@ -339,9 +339,11 @@ def test_state_vector_layout():
     assert vec[i] == pytest.approx(expected, rel=1e-14)
 
 
-def test_f_series_failure_modes():
-    with pytest.raises(coherent.ConvergenceError):
-        coherent.f_series(1.0, [50.0], max_shells=3)
+def test_f_series_failure_modes(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(coherent, "MAX_SHELLS", 3)
+        with pytest.raises(coherent.ConvergenceError, match="within 3 shells"):
+            coherent.f_series(1.0, [50.0])
     with pytest.raises(OverflowError):
         coherent.f_series(1.0, [1e300])
     with pytest.raises(ValueError):
@@ -350,6 +352,15 @@ def test_f_series_failure_modes():
         coherent.f_series(1.0, [])
     with pytest.raises(ValueError):
         coherent.inner_product([1.0], [1.0, 2.0], 1.0)
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+def test_f_series_needs_finite_k(k):
+    """K must be finite and > 0, as for rep_space and MeasureModel."""
+    with pytest.raises(ValueError, match="need finite k > 0"):
+        coherent.f_series(k, [1.0])
+    with pytest.raises(ValueError, match="need finite k > 0"):
+        coherent.inner_product([0.5, 0.1j], [0.2, 0.3], k)
 
 
 def test_amplitude_domain_checks():

@@ -232,6 +232,20 @@ def test_formula_a_domain_errors():
         measure.verify_formula_a(2, 1.0, [0.5])
 
 
+@pytest.mark.parametrize("k, s", [(1.0, [math.inf]), (1.0, [0.5, math.nan]),
+                                  (math.inf, [0.5, 0.5]), (1.0, [-math.inf, 0.5])])
+def test_formula_a_needs_finite_parameters(k, s):
+    with pytest.raises(ValueError, match="K and the exponents must be finite"):
+        measure.verify_formula_a(len(s), k, s)
+
+
+@pytest.mark.parametrize("mu, nu, a", [(math.inf, 0.0, 1.0), (2.0, math.nan, 1.0),
+                                       (2.0, 0.0, math.inf), (math.nan, 0.0, 1.0)])
+def test_formula_b_needs_finite_parameters(mu, nu, a):
+    with pytest.raises(ValueError, match="mu, nu and a must be finite"):
+        measure.verify_formula_b(mu, nu, a)
+
+
 @pytest.mark.parametrize("n,k,s", [(3, 2.0, [-0.9, -0.9, -0.9]), (1, 0.5, [-0.6]),
                                    (2, 0.25, [-0.1, -0.15])])
 def test_formula_a_needs_convergent_origin(n, k, s):

@@ -38,7 +38,8 @@ def test_trace_config():
     assert cfg.step == pytest.approx(0.25)
     cfg = pathint.TraceConfig(mode="real", horizon=2.0, slices=4)
     assert cfg.step == pytest.approx(0.5j)
-    assert pathint.TraceConfig(backend="mc").backend == "montecarlo"
+    with pytest.raises(ValueError, match="unknown backend 'mc'"):
+        pathint.TraceConfig(backend="mc")
     with pytest.raises(ValueError):
         pathint.TraceConfig(mode="thermal")
     with pytest.raises(ValueError):
@@ -201,6 +202,28 @@ def test_kernel_trace_domain():
         pathint.exact_kernel_trace(pathint.HamiltonianParams.from_mu([0.0]), 1.0, 1.0)
     with pytest.raises(ValueError):
         pathint.exact_kernel_trace(hp, 1.0, 1.0, mode="other")
+
+
+
+def test_infinite_beta_is_a_domain_error():
+    """At beta = inf the prefactor exp(-beta K c_{N+1}) is exp(-inf * 0) = nan
+    when c_{N+1} = 0; the three entry points refuse it instead."""
+    hp = pathint.HamiltonianParams.from_mu([1.0])
+    for cutoff in (None, 6):
+        with pytest.raises(ValueError, match="need finite beta > 0"):
+            pathint.exact_spectral_trace(hp, 1.0, math.inf, cutoff=cutoff)
+    with pytest.raises(ValueError, match="need finite beta > 0"):
+        pathint.exact_kernel_trace(hp, 1.0, math.inf)
+    for beta in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="need finite beta"):
+            pathint.diagonal_kernel([0.5], hp, 1.0, beta)
+
+
+@pytest.mark.parametrize("mode, horizon", [("imaginary", math.inf), ("imaginary", math.nan),
+                                           ("real", math.nan), ("real", -math.inf)])
+def test_trace_config_needs_a_finite_horizon(mode, horizon):
+    with pytest.raises(ValueError, match="need a finite horizon"):
+        pathint.TraceConfig(mode=mode, horizon=horizon, cutoff=4)
 
 
 # --- transfer spectrum -----------------------------------------------------
