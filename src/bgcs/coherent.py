@@ -49,6 +49,8 @@ MAX_SHELLS = 500
 def coefficient(n, k):
     """Closed-form amplitude C_n for multi-index n and representation label k."""
     k = float(k)
+    if not math.isfinite(k):
+        raise ValueError(f"need finite k > 0, got {k}")
     if k <= 0.0:
         raise ValueError(f"need k > 0, got {k}")
     n = tuple(int(v) for v in n)

@@ -130,8 +130,8 @@ def radial_cdf(model, q):
     origin, so the rule's window reaches R = q e^(-55/min(K, N)), where R
     itself has long underflowed for small K: every K > 0 works."""
     q = float(q)
-    if q <= 0.0:
-        raise ValueError(f"need q > 0, got {q}")
+    if not (q > 0.0 and math.isfinite(q)):
+        raise ValueError(f"need finite q > 0, got {q}")
     log_q = math.log(q)
     value, _ = _tanh_sinh(lambda log_x, _: log_q + _log_radius_density(model, log_q + log_x),
                           min(model.k, float(model.n)), QUAD_TOL)

@@ -203,6 +203,8 @@ def exact_spectral_trace(hp, k, beta, cutoff=None):
         raise ValueError(f"need finite beta > 0, got {beta}")
     mu = hp.mu
     if cutoff is None:
+        if not (k > 0.0 and math.isfinite(k)):
+            raise ValueError(f"need finite k > 0, got {k}")
         if np.any(mu <= 0.0):
             raise ValueError(f"untruncated trace diverges unless all mu > 0, got {mu.tolist()}")
         value = math.exp(-beta * k * hp.c[-1])

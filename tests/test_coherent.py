@@ -363,6 +363,13 @@ def test_f_series_needs_finite_k(k):
         coherent.inner_product([0.5, 0.1j], [0.2, 0.3], k)
 
 
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+def test_coefficient_needs_finite_k(k):
+    """A non-finite K is refused by coefficient itself, not by log_gamma's p."""
+    with pytest.raises(ValueError, match=r"^need finite k > 0, got"):
+        coherent.coefficient((1, 0), k)
+
+
 def test_amplitude_domain_checks():
     space = fock.rep_space(2, 1.5, 3)
     with pytest.raises(ValueError, match="need k > 0"):

@@ -4,6 +4,7 @@ both integral formulas, the exact sampler, and the resolution of unity."""
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -11,7 +12,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgcs import mc, measure, specfun
+from bgcs import mc, measure, quadrature, specfun
 
 HALF_PI_ROOT2 = 2.2214414690791831  # (1/4) 2 Gamma(3/4) Gamma(1/4) = pi/sqrt(2) * ...
 
@@ -122,6 +123,13 @@ def test_radial_cdf_monotone_to_one():
     assert vals[-1] == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(ValueError):
         measure.radial_cdf(model, -1.0)
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+def test_radial_cdf_names_a_non_finite_q(q):
+    """A non-finite q is refused by its own name, not by specfun's x."""
+    with pytest.raises(ValueError, match=r"^need finite q > 0, got"):
+        measure.radial_cdf(measure.MeasureModel(1, 0.5), q)
 
 
 # frozen via tests/oracles.py radial_cdf (mpmath in v = R^min(K, N), 50 digits)
@@ -305,6 +313,43 @@ def test_formula_a_equals_formula_b_one_mode(k, s):
     scale = 2.0 ** (1.0 - 2.0 * s - k)
     assert a_res.lhs == pytest.approx(scale * b_res.lhs, rel=1e-10)
     assert a_res.rhs == pytest.approx(scale * b_res.rhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("formula,args", [
+    ("a", (1, 0.8534025076765767, [-0.8512746472232657])),  # c_eff = 0.0021
+    ("a", (1, 0.2292433156667878, [-0.18618444187372152])),  # c_eff = 0.043
+    ("a", (3, 2.5, [0.3, -0.4, 1.2])),
+    ("a", (2, 0.3, [-0.5, 0.25])),
+    ("b", (1.5089046745779426, -1.4038079065171498, 1.7950913283344474)),
+    ("b", (0.05, 0.01, 1.0)),
+    ("b", (3.7, 1.9, 0.4)),
+    ("b", (7.5, -5.9, 2.7)),
+])
+def test_halfline_formulas_converge_at_the_first_check(monkeypatch, formula, args):
+    """The half-line rule starts at 64 intervals and stops after two
+    halvings that agree: 65 + 64 + 128 = 257 nodes of log_f per integral,
+    with (A) and (B) still equal to mpmath's closed forms to 1e-13."""
+    sizes = []
+
+    def counting(log_f, *rule_args, **rule_kwargs):
+        def log_f_counted(log_x):
+            sizes.append(log_x.size)
+            return log_f(log_x)
+        return quadrature.de_halfline(log_f_counted, *rule_args, **rule_kwargs)
+
+    monkeypatch.setattr(measure, "de_halfline", counting)
+    measure._halfline_bessel_factor.cache_clear()
+    if formula == "a":
+        n, k, s = args
+        lhs = measure.verify_formula_a(n, k, s).lhs
+        exact = mpmath.fprod(mpmath.gamma(v + 1) for v in s) * mpmath.gamma(k + mpmath.fsum(s))
+    else:
+        mu, nu, a = args
+        lhs = measure.verify_formula_b(mu, nu, a).lhs
+        exact = (mpmath.mpf(2) ** (mu - 2) * mpmath.mpf(a) ** -mu
+                 * mpmath.gamma((mu + nu) / 2) * mpmath.gamma((mu - nu) / 2))
+    assert sum(sizes) == 257
+    assert lhs == pytest.approx(float(exact), rel=1e-13)
 
 
 def test_moment_check_values():

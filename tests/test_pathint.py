@@ -219,6 +219,17 @@ def test_infinite_beta_is_a_domain_error():
             pathint.diagonal_kernel([0.5], hp, 1.0, beta)
 
 
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("c_last", [0.0, 0.5])
+def test_closed_spectral_trace_needs_finite_k(k, c_last):
+    """The closed product's prefactor exp(-beta K c_{N+1}) gave nan at
+    K = nan, nan at K = inf with c_{N+1} = 0 (-inf * 0) and 0.0 with
+    c_{N+1} = 0.5; a K outside (0, inf) is refused by name."""
+    hp = pathint.HamiltonianParams.from_mu([1.0], c_last=c_last)
+    with pytest.raises(ValueError, match=r"^need finite k > 0, got"):
+        pathint.exact_spectral_trace(hp, k, 1.0)
+
+
 @pytest.mark.parametrize("mode, horizon", [("imaginary", math.inf), ("imaginary", math.nan),
                                            ("real", math.nan), ("real", -math.inf)])
 def test_trace_config_needs_a_finite_horizon(mode, horizon):

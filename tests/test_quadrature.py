@@ -74,7 +74,7 @@ def test_refiner_places_each_mid_node_once():
 # beta(0.03, 0.07) and beta(0.5, 3.25)
 def test_one_lane_rules_keep_their_bits():
     assert quadrature.de_halfline(lambda lx: 0.3 * lx - np.exp(lx), 1.3, ("lin", 1.0)) == (
-        0.8974706963062771, 0.0)
+        0.8974706963062772, 0.0)
     assert quadrature.de_halfline(lambda lx: -0.5 * lx - 2.0 * np.exp(0.5 * lx), 0.5,
                                   ("sqrt", 2.0), growth=-0.5) == (1.0, 0.0)
     assert quadrature._tanh_sinh(lambda lx, l1: -0.5 * lx, 0.5, 1e-12) == (2.0, 0.0)
