@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import coherent, fock, mc, measure, pathint
-from .specfun import ConvergenceError
+from .specfun import ConvergenceError, _integer, _positive, _vector
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -53,6 +53,22 @@ def _list_parser(kind, noun):
 _complex_list = _list_parser(complex, "numbers")
 _float_list = _list_parser(float, "reals")
 _int_list = _list_parser(int, "integers")
+
+
+def _positive_option(name):
+    """argparse type for a finite real option > 0, checked by specfun._positive."""
+
+    def parse(text):
+        try:
+            return _positive(name, text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+
+    return parse
+
+
+_tol = _positive_option("tol")
+_zmax = _positive_option("zmax")
 
 
 def _add_output(p):
@@ -134,8 +150,6 @@ def _cmd_eval_f(args):
 
 
 def _cmd_inner(args):
-    if len(args.z) != len(args.zp):
-        raise ValueError(f"labels differ in length: {len(args.z)} vs {len(args.zp)}")
     value = complex(coherent.inner_product(args.z, args.zp, args.k))
     report = {
         "check": "inner_product",
@@ -157,14 +171,10 @@ def _finish_check(result, tol):
 
 def _cmd_measure_check(args):
     model = measure.MeasureModel(args.n, args.k)
-    if len(args.occ) != args.n:
-        raise ValueError(f"--occ needs {args.n} entries, got {len(args.occ)}")
     return _finish_check(measure.moment_check(model, args.occ), args.tol)
 
 
 def _cmd_formula_a(args):
-    if len(args.s) != args.n:
-        raise ValueError(f"--s needs {args.n} entries, got {len(args.s)}")
     return _finish_check(measure.verify_formula_a(args.n, args.k, args.s), args.tol)
 
 
@@ -203,7 +213,8 @@ def _cmd_trace(args):
     if horizon is None:
         needed = "--beta" if args.mode == "imaginary" else "--t"
         raise ValueError(f"{args.mode}-time mode requires {needed}")
-    hp = pathint.HamiltonianParams.from_mu(args.mu, c_last=args.c_last)
+    mu = _vector("mu", args.mu, _integer("n", args.n, 1), float)
+    hp = pathint.HamiltonianParams.from_mu(mu, c_last=args.c_last)
     weights = args.weights or ("linear" if args.backend == "matrix" else "exp")
     config = pathint.TraceConfig(
         mode=args.mode, horizon=horizon, slices=args.m, cutoff=args.cutoff,
@@ -279,7 +290,7 @@ def build_parser():
     p.add_argument("--n", type=int, required=True, help="number of oscillator modes")
     p.add_argument("--k", type=float, required=True, help="Bargmann index K > 0")
     p.add_argument("--occ", type=_int_list, required=True, help="occupations, e.g. 1,2,0")
-    p.add_argument("--tol", type=float, default=1e-8, help="relative tolerance (default %(default)g)")
+    p.add_argument("--tol", type=_tol, default=1e-8, help="relative tolerance (default %(default)g)")
     _add_output(p)
     p.set_defaults(handler=_cmd_measure_check)
 
@@ -288,7 +299,7 @@ def build_parser():
     p.add_argument("--k", type=float, required=True, help="Bargmann index K > 0")
     p.add_argument("--s", type=_float_list, required=True,
                    help="real exponents > -1 with sum(s) + min(K, N) > 0, e.g. 0.5,2")
-    p.add_argument("--tol", type=float, default=1e-8, help="relative tolerance (default %(default)g)")
+    p.add_argument("--tol", type=_tol, default=1e-8, help="relative tolerance (default %(default)g)")
     _add_output(p)
     p.set_defaults(handler=_cmd_formula_a)
 
@@ -296,7 +307,7 @@ def build_parser():
     p.add_argument("--mu", type=float, required=True, help="power-law exponent, needs mu > |nu|")
     p.add_argument("--nu", type=float, required=True, help="Bessel order")
     p.add_argument("--a", type=float, required=True, help="scale parameter a > 0")
-    p.add_argument("--tol", type=float, default=1e-8, help="relative tolerance (default %(default)g)")
+    p.add_argument("--tol", type=_tol, default=1e-8, help="relative tolerance (default %(default)g)")
     _add_output(p)
     p.set_defaults(handler=_cmd_formula_b)
 
@@ -306,8 +317,8 @@ def build_parser():
     p.add_argument("--cutoff", type=int, required=True, help="basis degree cutoff")
     p.add_argument("--mode", choices=("quadrature", "montecarlo"), default="quadrature",
                    help="integration backend (default quadrature)")
-    p.add_argument("--tol", type=float, default=1e-8, help="max deviation, quadrature mode (default %(default)g)")
-    p.add_argument("--zmax", type=float, default=4.0, help="max z-score, montecarlo mode (default %(default)g)")
+    p.add_argument("--tol", type=_tol, default=1e-8, help="max deviation, quadrature mode (default %(default)g)")
+    p.add_argument("--zmax", type=_zmax, default=4.0, help="max z-score, montecarlo mode (default %(default)g)")
     _add_stochastic(p, budget=100_000)
     _add_output(p)
     p.set_defaults(handler=_cmd_rou)
@@ -315,7 +326,7 @@ def build_parser():
     p = sub.add_parser("sample", help="exact-sampler report: moments, angular modes, R-CDF quantiles")
     p.add_argument("--n", type=int, required=True, help="number of oscillator modes")
     p.add_argument("--k", type=float, required=True, help="Bargmann index K > 0")
-    p.add_argument("--zmax", type=float, default=4.0, help="max acceptable z-score (default %(default)g)")
+    p.add_argument("--zmax", type=_zmax, default=4.0, help="max acceptable z-score (default %(default)g)")
     _add_stochastic(p, budget=1_000_000)
     _add_output(p)
     p.set_defaults(handler=_cmd_sample)
@@ -335,9 +346,9 @@ def build_parser():
     p.add_argument("--weights", choices=("linear", "exp"), default=None,
                    help="slice weight form (default: linear for matrix, exp for montecarlo)")
     p.add_argument("--cutoff", type=int, default=None, help="Fock truncation (matrix backend)")
-    p.add_argument("--tol", type=float, default=1e-2,
+    p.add_argument("--tol", type=_tol, default=1e-2,
                    help="relative tolerance vs the reference, matrix backend (default %(default)g)")
-    p.add_argument("--zmax", type=float, default=4.0, help="max z-score, montecarlo backend (default %(default)g)")
+    p.add_argument("--zmax", type=_zmax, default=4.0, help="max z-score, montecarlo backend (default %(default)g)")
     _add_stochastic(p, budget=100_000)
     _add_output(p)
     p.set_defaults(handler=_cmd_trace)

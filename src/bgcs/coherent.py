@@ -40,7 +40,7 @@ import math
 import numpy as np
 
 from . import fock
-from .specfun import ConvergenceError, log_gamma
+from .specfun import ConvergenceError, _occupations, _positive, _vector, log_gamma
 
 SHELL_TOL = 1e-14
 MAX_SHELLS = 500
@@ -48,14 +48,7 @@ MAX_SHELLS = 500
 
 def coefficient(n, k):
     """Closed-form amplitude C_n for multi-index n and representation label k."""
-    k = float(k)
-    if not math.isfinite(k):
-        raise ValueError(f"need finite k > 0, got {k}")
-    if k <= 0.0:
-        raise ValueError(f"need k > 0, got {k}")
-    n = tuple(int(v) for v in n)
-    if any(v < 0 for v in n):
-        raise ValueError(f"multi-index must be nonnegative, got {n}")
+    k, n = _positive("k", k), _occupations("n", n)
     total = sum(n)
     log_c2 = log_gamma(k) - log_gamma(k + total) - sum(log_gamma(v + 1.0) for v in n)
     return math.exp(0.5 * log_c2)
@@ -92,11 +85,7 @@ def coefficients_by_recursion(space):
 
 def state_vector(z, space):
     """Component vector of |z> on the truncated basis, degree-zero amplitude 1."""
-    z = np.asarray(z, dtype=complex)
-    if z.shape != (space.n,):
-        raise ValueError(f"label must have {space.n} components, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("label components must be finite")
+    z = _vector("z", z, space.n)
     coeffs = np.array([coefficient(state, space.k) for state in space.occ.tolist()])
     return coeffs * np.prod(z**space.occ, axis=1)
 
@@ -186,15 +175,9 @@ def _shell_sum(k, s, tol, max_shells, weights=None):
 def f_series(k, w):
     """Value of F_N(K; w) to SHELL_TOL: the shell sum at s = sum(w), a float
     when every w_a is real.  K must be finite and > 0."""
-    k = float(k)
-    if not (k > 0.0 and math.isfinite(k)):
-        raise ValueError(f"need finite k > 0, got {k}")
-    w = np.asarray(w, dtype=complex).ravel()
-    if w.size < 1:
-        raise ValueError("need at least one argument component")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("argument components must be finite")
-    s = np.sum(w)
+    k, w = _positive("k", k), _vector("w", w)
+    with np.errstate(over="ignore"):  # an infinite sum raises OverflowError below
+        s = np.sum(w)
     if np.all(w.imag == 0.0):
         return float(_shell_sum(k, np.array([s.real]), SHELL_TOL, MAX_SHELLS)[0])
     return complex(_shell_sum(k, np.array([s]), SHELL_TOL, MAX_SHELLS)[0])
@@ -210,10 +193,8 @@ def _f_series_vec(k, s, weights=None):
 
 def inner_product(z, zp, k):
     """Overlap <z|z'> = F_N(K; (conj(z_a) z'_a)), to f_series' SHELL_TOL."""
-    z = np.asarray(z, dtype=complex).ravel()
-    zp = np.asarray(zp, dtype=complex).ravel()
-    if z.shape != zp.shape:
-        raise ValueError(f"label shapes differ: {z.shape} vs {zp.shape}")
+    z = _vector("z", z)
+    zp = _vector("zp", zp, z.size)
     if np.array_equal(z, zp):
         # conj(z) * z through the vectorized complex multiply can keep a
         # stray FMA-contracted imaginary residue; the self-overlap is real

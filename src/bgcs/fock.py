@@ -35,6 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .specfun import _integer, _positive
+
 
 @dataclass
 class TruncatedRepSpace:
@@ -84,14 +86,7 @@ class TruncatedRepSpace:
 def rep_space(n, k, cutoff):
     """Build the truncated space: all multi-indices with total degree <= cutoff,
     ordered by total degree and lexicographically within each degree."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"need integer n >= 1, got {n!r}")
-    if not isinstance(cutoff, (int, np.integer)) or cutoff < 0:
-        raise ValueError(f"need integer cutoff >= 0, got {cutoff!r}")
-    k = float(k)
-    if not (k > 0.0 and math.isfinite(k)):
-        raise ValueError(f"need representation label k > 0, got {k}")
-    n, cutoff = int(n), int(cutoff)
+    n, k, cutoff = _integer("n", n, 1), _positive("k", k), _integer("cutoff", cutoff, 0)
     # all rows of degree <= cutoff in lexicographic order, one column at a time
     occ = np.arange(cutoff + 1).reshape(-1, 1)
     for _ in range(n - 1):
@@ -109,7 +104,7 @@ def generator_matrix(space, alpha, beta):
     alpha and beta in 1..N+1)."""
     n, k, occ, deg = space.n, space.k, space.occ, space.deg
     if not (1 <= alpha <= n + 1 and 1 <= beta <= n + 1):
-        raise ValueError(f"generator indices must lie in 1..{n + 1}, got ({alpha}, {beta})")
+        raise ValueError(f"need generator indices alpha, beta in 1..{n + 1}, got ({alpha}, {beta})")
     last = n + 1  # index value meaning the (N+1)-st mode
     cols = np.arange(space.dim)
     if alpha == last and beta == last:

@@ -15,23 +15,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .specfun import _integer
+
 DEFAULT_SEED = 20260823
 CHUNK = 200_000  # samples drawn at once, bounding the memory of a chunk
 
 
 def spawn_rngs(seed, workers):
     """One independent Generator per worker, deterministically derived."""
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ValueError(f"need integer workers >= 1, got {workers!r}")
-    children = np.random.SeedSequence(int(seed)).spawn(int(workers))
+    seed, workers = _integer("seed", seed, 0), _integer("workers", workers, 1)
+    children = np.random.SeedSequence(seed).spawn(workers)
     return [np.random.Generator(np.random.PCG64(c)) for c in children]
 
 
 def split_count(total, workers):
     """Partition a sample budget across workers (first workers get the remainder)."""
-    if not isinstance(total, (int, np.integer)) or total < 1:
-        raise ValueError(f"need integer sample count >= 1, got {total!r}")
-    base, rem = divmod(int(total), int(workers))
+    base, rem = divmod(_integer("sample count", total, 1), int(workers))
     return [base + (1 if i < rem else 0) for i in range(int(workers))]
 
 

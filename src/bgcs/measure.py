@@ -49,7 +49,8 @@ import numpy as np
 
 from . import coherent, fock, mc
 from .quadrature import _tanh_sinh, de_halfline, power_integral_01
-from .specfun import _bessel_k_log_vec, gamma, log_gamma
+from .specfun import (_bessel_k_log_vec, _finite, _integer, _occupations, _positive, _vector,
+                      gamma, log_gamma)
 
 QUAD_TOL = 1e-11  # the accuracy of every integral below: R CDF, formulas (A) and (B)
 
@@ -62,10 +63,8 @@ class MeasureModel:
     k: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"need integer n >= 1, got {self.n!r}")
-        if not (float(self.k) > 0.0 and math.isfinite(float(self.k))):
-            raise ValueError(f"need k > 0, got {self.k!r}")
+        object.__setattr__(self, "n", _integer("n", self.n, 1))
+        object.__setattr__(self, "k", _positive("k", self.k))
 
 
 def density(model, r):
@@ -77,11 +76,9 @@ def density(model, r):
     sigma is exp of a sum of logs, finite where R^((K-N)/2) vanishes and
     K_{K-N} alone leaves double range; OverflowError where sigma does.
     """
-    r = np.asarray(r, dtype=float)
-    if r.shape != (model.n,):
-        raise ValueError(f"need {model.n} radial components, got shape {r.shape}")
+    r = _vector("r", r, model.n, float)
     if np.any(r < 0.0):
-        raise ValueError("radial components must be nonnegative")
+        raise ValueError(f"need r >= 0, got {r.tolist()}")
     nu = model.k - model.n
     big_r = float(np.sum(r))
     if big_r == 0.0:
@@ -129,10 +126,7 @@ def radial_cdf(model, q):
     density in log R.  The density behaves like R^(min(K, N) - 1) at the
     origin, so the rule's window reaches R = q e^(-55/min(K, N)), where R
     itself has long underflowed for small K: every K > 0 works."""
-    q = float(q)
-    if not (q > 0.0 and math.isfinite(q)):
-        raise ValueError(f"need finite q > 0, got {q}")
-    log_q = math.log(q)
+    log_q = math.log(_positive("q", q))
     value, _ = _tanh_sinh(lambda log_x, _: log_q + _log_radius_density(model, log_q + log_x),
                           min(model.k, float(model.n)), QUAD_TOL)
     return float(value)
@@ -205,15 +199,10 @@ class CheckResult:
 def verify_formula_a(n, k, s):
     """Quadrature-vs-closed-form check, to QUAD_TOL, of the N-dimensional
     Bessel moment integral (A) at real exponents s_a > -1."""
-    s = np.asarray(s, dtype=float).ravel()
-    if s.shape != (n,):
-        raise ValueError(f"need {n} exponents, got shape {s.shape}")
-    if not (math.isfinite(k) and np.all(np.isfinite(s))):
-        raise ValueError(f"K and the exponents must be finite, got K={k}, s={s.tolist()}")
+    n, k = _integer("n", n, 1), _positive("k", k)
+    s = _vector("s", s, n, float)
     if np.any(s <= -1.0):
-        raise ValueError(f"exponents must exceed -1, got {s.tolist()}")
-    if not k > 0.0:
-        raise ValueError(f"need K > 0, got {k}")
+        raise ValueError(f"need s > -1, got {s.tolist()}")
     total = float(np.sum(s))
     if not total + min(k, n) > 0.0:
         raise ValueError(f"need sum(s) + min(K, N) > 0 for convergence, "
@@ -221,18 +210,14 @@ def verify_formula_a(n, k, s):
     lhs = _bessel_moment_lhs(n, k, s)
     rhs = math.exp(sum(log_gamma(v + 1.0) for v in s) + log_gamma(k + total))
     return CheckResult(
-        "formula_a", {"n": int(n), "k": float(k), "s": s.tolist()}, float(lhs), rhs
+        "formula_a", {"n": n, "k": k, "s": s.tolist()}, float(lhs), rhs
     )
 
 
 def verify_formula_b(mu, nu, a):
     """Quadrature-vs-closed-form check of the Mellin-type K transform (B) to
     QUAD_TOL; the direct half-line route, sharing no path with verify_formula_a."""
-    mu, nu, a = float(mu), float(nu), float(a)
-    if not all(map(math.isfinite, (mu, nu, a))):
-        raise ValueError(f"mu, nu and a must be finite, got mu={mu}, nu={nu}, a={a}")
-    if a <= 0.0:
-        raise ValueError(f"need a > 0, got {a}")
+    mu, nu, a = _finite("mu", mu), _finite("nu", nu), _positive("a", a)
     if mu <= abs(nu):
         raise ValueError(f"need mu > |nu| for convergence, got mu={mu}, nu={nu}")
 
@@ -255,9 +240,7 @@ def moment_check(model, n_vec):
     """Radial moment identity at integer occupations n_vec:
     quadrature value of pi^N Gamma(K) int sigma prod r^n against
     prod Gamma(n_a + 1) * Gamma(K + |n|)."""
-    n_vec = tuple(int(v) for v in n_vec)
-    if len(n_vec) != model.n or any(v < 0 for v in n_vec):
-        raise ValueError(f"need {model.n} nonnegative integer exponents, got {n_vec}")
+    n_vec = _occupations("n_vec", n_vec, model.n)
     result = verify_formula_a(model.n, model.k, np.array(n_vec, dtype=float))
     return CheckResult(
         "moment", {"n": model.n, "k": model.k, "occupations": list(n_vec)},

@@ -67,7 +67,7 @@ import numpy as np
 from . import fock, mc, measure
 from .coherent import MAX_SHELLS, _f_series_vec, coefficients, f_series
 from .quadrature import de_halfline, gauss_legendre_01
-from .specfun import bessel_i, log_gamma
+from .specfun import _finite, _integer, _positive, _vector, bessel_i, log_gamma
 
 VARIANCE_SAFE_LOG = math.log(4.0)  # kernel-trace MC: finite variance needs beta*mu > ln 4
 KERNEL_TOL = 1e-9  # relative accuracy of the quadrature kernel trace
@@ -80,9 +80,9 @@ class HamiltonianParams:
     c: tuple
 
     def __post_init__(self):
-        c = tuple(float(v) for v in self.c)
-        if len(c) < 2 or not all(math.isfinite(v) for v in c):
-            raise ValueError(f"need N+1 >= 2 finite couplings, got {self.c!r}")
+        c = tuple(_vector("c", self.c, dtype=float).tolist())
+        if len(c) < 2:
+            raise ValueError(f"need N+1 >= 2 couplings c, got {list(c)}")
         object.__setattr__(self, "c", c)
 
     @property
@@ -98,8 +98,8 @@ class HamiltonianParams:
     def from_mu(cls, mu, c_last=0.0):
         """Convenience: specify the level spacings mu_a and the additive
         constant coupling directly (c_a = mu_a - c_last)."""
-        mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        return cls(tuple(mu - c_last) + (float(c_last),))
+        c_last = _finite("c_last", c_last)
+        return cls(tuple(_vector("mu", mu, dtype=float) - c_last) + (c_last,))
 
 
 @dataclass
@@ -123,12 +123,13 @@ class TraceConfig:
             raise ValueError(f"unknown weight form {self.weights!r}")
         if self.backend not in ("matrix", "montecarlo"):
             raise ValueError(f"unknown backend {self.backend!r}")
-        if not isinstance(self.slices, (int, np.integer)) or self.slices < 1:
-            raise ValueError(f"need integer slices >= 1, got {self.slices!r}")
-        if not math.isfinite(self.horizon):
-            raise ValueError(f"need a finite horizon, got {self.horizon}")
-        if self.mode == "imaginary" and not self.horizon > 0.0:
-            raise ValueError(f"imaginary-time horizon must be positive, got {self.horizon}")
+        self.horizon = (_positive if self.mode == "imaginary" else _finite)("horizon", self.horizon)
+        self.slices = _integer("slices", self.slices, 1)
+        if self.cutoff is not None:
+            self.cutoff = _integer("cutoff", self.cutoff, 0)
+        self.budget = _integer("budget", self.budget, 1)
+        self.seed = _integer("seed", self.seed, 0)
+        self.workers = _integer("workers", self.workers, 1)
 
     @property
     def step(self):
@@ -155,11 +156,7 @@ class TraceResult:
 
 def h_matrix_element(z, zp, hp, k):
     """<z|H|z'> through the overlap series."""
-    z = np.asarray(z, dtype=complex).ravel()
-    zp = np.asarray(zp, dtype=complex).ravel()
-    if z.shape != (hp.n,) or zp.shape != (hp.n,):
-        raise ValueError(f"labels must have {hp.n} components")
-    x = np.conj(z) * zp
+    x = np.conj(_vector("z", z, hp.n)) * _vector("zp", zp, hp.n)
     fk = f_series(k, x)
     fk1 = f_series(k + 1.0, x)
     return k * hp.c[-1] * fk + (1.0 / k) * np.sum(hp.mu * x) * fk1
@@ -199,12 +196,9 @@ def energies(hp, k, space):
 def exact_spectral_trace(hp, k, beta, cutoff=None):
     """Tr exp(-beta H): closed product over modes when cutoff is None,
     otherwise the finite sum over the truncated basis."""
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise ValueError(f"need finite beta > 0, got {beta}")
+    k, beta = _positive("k", k), _positive("beta", beta)
     mu = hp.mu
     if cutoff is None:
-        if not (k > 0.0 and math.isfinite(k)):
-            raise ValueError(f"need finite k > 0, got {k}")
         if np.any(mu <= 0.0):
             raise ValueError(f"untruncated trace diverges unless all mu > 0, got {mu.tolist()}")
         value = math.exp(-beta * k * hp.c[-1])
@@ -221,12 +215,8 @@ def diagonal_kernel(z, hp, k, beta):
     Each basis amplitude just picks up its Boltzmann factor, which folds
     into the overlap series argument mode by mode.
     """
-    if not math.isfinite(beta):
-        raise ValueError(f"need finite beta, got {beta}")
-    z = np.asarray(z, dtype=complex).ravel()
-    if z.shape != (hp.n,):
-        raise ValueError(f"label must have {hp.n} components")
-    scaled = np.abs(z) ** 2 * np.exp(-beta * hp.mu)
+    k, beta = _positive("k", k), _finite("beta", beta)
+    scaled = np.abs(_vector("z", z, hp.n)) ** 2 * np.exp(-beta * hp.mu)
     return math.exp(-beta * k * hp.c[-1]) * f_series(k, scaled)
 
 
@@ -307,8 +297,7 @@ def exact_kernel_trace(hp, k, beta, mode="quadrature", budget=10**6,
     result carries variance_warning=True and the error bar is not
     trustworthy.
     """
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise ValueError(f"need finite beta > 0, got {beta}")
+    k, beta = _positive("k", k), _positive("beta", beta)
     if np.any(hp.mu <= 0.0):
         raise ValueError(f"kernel trace needs all mu > 0, got {hp.mu.tolist()}")
     params = {"n": hp.n, "k": k, "c": list(hp.c), "beta": beta, "mode": mode}

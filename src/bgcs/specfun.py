@@ -76,18 +76,51 @@ _ZETA_ODD = (1.2020569031595942, 1.03692775514337, 1.008349277381923,
              1.0020083928260821)  # zeta(3), zeta(5), zeta(7), zeta(9)
 
 
-def _check_finite_real(name, value):
+# The domain validators behind every public entry point: each returns the
+# coerced value or raises ValueError naming the parameter and the value.
+
+def _finite(name, value):
     value = float(value)
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
+        raise ValueError(f"need finite {name}, got {value}")
     return value
+
+
+def _positive(name, value):
+    value = float(value)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"need finite {name} > 0, got {value}")
+    return value
+
+
+def _integer(name, value, least):
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"need integer {name} >= {least}, got {value!r}")
+    return int(value)
+
+
+def _vector(name, value, n=None, dtype=complex):
+    """value as a 1-D array of n finite entries (n=None: at least one)."""
+    arr = np.atleast_1d(np.asarray(value, dtype=dtype))
+    if arr.shape != (n or max(arr.size, 1),) or not np.isfinite(arr).all():
+        raise ValueError(f"need finite {name} of length {n or '>= 1'}, got {arr.tolist()}")
+    return arr
+
+
+def _occupations(name, value, n=None):
+    """value as a tuple of non-negative ints, n of them unless n is None."""
+    row = tuple(value)
+    if len(row) != (len(row) if n is None else n) or not all(
+            isinstance(v, (int, np.integer)) and v >= 0 for v in row):
+        length = "" if n is None else f" of length {n}"
+        got = np.asarray(row).tolist()
+        raise ValueError(f"need non-negative integer {name}{length}, got {got}")
+    return tuple(int(v) for v in row)
 
 
 def gamma(p):
     """Gamma function for p > 0."""
-    p = _check_finite_real("p", p)
-    if p <= 0.0:
-        raise ValueError(f"gamma requires p > 0, got {p}")
+    p = _positive("p", p)
     try:
         return math.gamma(p)
     except OverflowError:
@@ -96,10 +129,7 @@ def gamma(p):
 
 def log_gamma(p):
     """log Gamma(p) for p > 0."""
-    p = _check_finite_real("p", p)
-    if p <= 0.0:
-        raise ValueError(f"log_gamma requires p > 0, got {p}")
-    return math.lgamma(p)
+    return math.lgamma(_positive("p", p))
 
 
 def bessel_i(nu, x):
@@ -109,12 +139,9 @@ def bessel_i(nu, x):
     t_{n+1} = t_n * (x/2)^2 / ((n+1)(nu+n+1)); all terms are positive so
     there is no cancellation.
     """
-    nu = _check_finite_real("nu", nu)
-    x = _check_finite_real("x", x)
-    if nu < 0.0:
-        raise ValueError(f"bessel_i requires nu >= 0, got {nu}")
-    if x < 0.0:
-        raise ValueError(f"bessel_i requires x >= 0, got {x}")
+    nu, x = _finite("nu", nu), _finite("x", x)
+    if nu < 0.0 or x < 0.0:
+        raise ValueError(f"bessel_i requires nu >= 0 and x >= 0, got nu={nu}, x={x}")
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
     half_x = 0.5 * x
@@ -308,10 +335,7 @@ def _bessel_k_block(nu, x, log_x):
         unresolved[quad] = ~(gap <= _K_GAP)  # nan too
     failed = ~valid | unresolved
     if failed.any():
-        xi = float(x[np.argmax(failed)])
-        _check_finite_real("x", xi)
-        if xi <= 0.0:
-            raise ValueError(f"bessel_k requires x > 0, got {xi}")
+        xi = _positive("x", x[np.argmax(failed)])
         raise ConvergenceError(f"bessel_k({nu}, {xi}) quadrature did not converge")
     return log_k
 
@@ -325,7 +349,7 @@ def _bessel_k_log_vec(nu, x, log_x):
     beyond the largest double is no error here, since a power times K is
     then exp of a sum of logs.  Each point's bits do not depend on the
     batch."""
-    nu = _check_finite_real("nu", nu)
+    nu = _finite("nu", nu)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     log_x = np.atleast_1d(np.asarray(log_x, dtype=float))
     out = np.empty_like(x)

@@ -96,9 +96,11 @@ def test_csv_flattens_list_parameters(capsys):
 
 def test_vector_options_of_the_wrong_length_exit_1(capsys):
     code, out, err = run(["measure-check", "--n", "2", "--k", "1", "--occ", "1"], capsys)
-    assert (code, out) == (1, "") and "--occ needs 2 entries, got 1" in err
+    assert (code, out) == (1, "")
+    assert err == "bgcs measure-check: need non-negative integer n_vec of length 2, got [1]\n"
     code, out, err = run(["formula-a", "--n", "2", "--k", "1", "--s", "0.5,0.2,0.1"], capsys)
-    assert (code, out) == (1, "") and "--s needs 2 entries, got 3" in err
+    assert (code, out) == (1, "")
+    assert err == "bgcs formula-a: need finite s of length 2, got [0.5, 0.2, 0.1]\n"
 
 
 def test_usage_errors_exit_1(capsys):
@@ -125,12 +127,12 @@ def test_domain_error_exit_1(capsys):
     (["eval-f", "--k", "inf", "--w", "1"], "need finite k > 0"),
     (["eval-f", "--k", "nan", "--w", "1"], "need finite k > 0"),
     (["inner", "--k", "inf", "--z", "1", "--zp", "0.5"], "need finite k > 0"),
-    (["formula-a", "--n", "1", "--k", "1", "--s", "inf"], "must be finite"),
-    (["formula-b", "--mu", "inf", "--nu", "0", "--a", "1"], "must be finite"),
+    (["formula-a", "--n", "1", "--k", "1", "--s", "inf"], "need finite s of length 1, got [inf]"),
+    (["formula-b", "--mu", "inf", "--nu", "0", "--a", "1"], "need finite mu, got inf"),
     (["trace", "--n", "1", "--k", "1", "--mu", "1", "--t", "nan", "--mode", "real",
-      "--m", "8", "--cutoff", "4"], "need a finite horizon"),
+      "--m", "8", "--cutoff", "4"], "need finite horizon, got nan"),
     (["trace", "--n", "1", "--k", "1", "--mu", "1", "--beta", "inf", "--m", "8",
-      "--cutoff", "4"], "need a finite horizon"),
+      "--cutoff", "4"], "need finite horizon > 0, got inf"),
 ])
 def test_non_finite_parameters_exit_1(argv, message, capsys):
     code, out, err = run(argv, capsys)
@@ -147,6 +149,26 @@ def test_list_arguments_keep_their_messages(capsys):
             cli.main(argv)
         assert info.value.code == 1
         assert f"expected comma-separated {noun}, got {text}" in capsys.readouterr().err
+
+
+def test_label_and_sum_errors_print_no_warning(capsys):
+    code, out, err = run(["inner", "--k", "1", "--z", "inf", "--zp", "0.5"], capsys)
+    assert (code, out, err) == (1, "", "bgcs inner: need finite z of length >= 1, got [(inf+0j)]\n")
+    code, out, err = run(["eval-f", "--k", "1", "--w", "1e308,1e308"], capsys)
+    assert (code, out, err) == (1, "", "bgcs eval-f: F series (k=1.0) exceeds double range\n")
+
+
+def test_values_the_cli_would_ignore_or_not_report_exit_1(capsys):
+    """--n 3 with one --mu used to run N = 1; --tol nan used to write
+    "tol": NaN, which is not JSON, and exit 2."""
+    code, out, err = run(["trace", "--n", "3", "--k", "1", "--mu", "1", "--beta", "1",
+                          "--m", "8", "--cutoff", "4"], capsys)
+    assert (code, out, err) == (1, "", "bgcs trace: need finite mu of length 3, got [1.0]\n")
+    with pytest.raises(SystemExit) as info:
+        cli.main(["formula-b", "--mu", "3", "--nu", "0.5", "--a", "1", "--tol", "nan"])
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out) == (1, "")
+    assert "bgcs formula-b: error: argument --tol: need finite tol > 0, got nan" in captured.err
 
 
 def test_formula_a_divergent_origin_is_a_domain_error(capsys):

@@ -2,6 +2,7 @@
 both integral formulas, the exact sampler, and the resolution of unity."""
 
 import math
+import re
 import warnings
 
 import mpmath
@@ -243,14 +244,19 @@ def test_formula_a_domain_errors():
 @pytest.mark.parametrize("k, s", [(1.0, [math.inf]), (1.0, [0.5, math.nan]),
                                   (math.inf, [0.5, 0.5]), (1.0, [-math.inf, 0.5])])
 def test_formula_a_needs_finite_parameters(k, s):
-    with pytest.raises(ValueError, match="K and the exponents must be finite"):
+    expected = (f"need finite k > 0, got {k}" if math.isinf(k)
+                else f"need finite s of length {len(s)}, got {s}")
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
         measure.verify_formula_a(len(s), k, s)
 
 
 @pytest.mark.parametrize("mu, nu, a", [(math.inf, 0.0, 1.0), (2.0, math.nan, 1.0),
                                        (2.0, 0.0, math.inf), (math.nan, 0.0, 1.0)])
 def test_formula_b_needs_finite_parameters(mu, nu, a):
-    with pytest.raises(ValueError, match="mu, nu and a must be finite"):
+    expected = {"mu": f"need finite mu, got {mu}", "nu": f"need finite nu, got {nu}",
+                "a": f"need finite a > 0, got {a}"}
+    name = next(name for name, v in zip(("mu", "nu", "a"), (mu, nu, a)) if not math.isfinite(v))
+    with pytest.raises(ValueError, match=f"^{re.escape(expected[name])}$"):
         measure.verify_formula_b(mu, nu, a)
 
 
@@ -350,6 +356,20 @@ def test_halfline_formulas_converge_at_the_first_check(monkeypatch, formula, arg
                  * mpmath.gamma((mu + nu) / 2) * mpmath.gamma((mu - nu) / 2))
     assert sum(sizes) == 257
     assert lhs == pytest.approx(float(exact), rel=1e-13)
+
+
+def test_integer_and_radial_arguments_are_named():
+    """moment_check used to truncate [1.5, 1] to (1, 1), and density's
+    inf was refused as specfun's x; MeasureModel keeps the coerced K."""
+    model = measure.MeasureModel(2, "1.5")
+    assert model.k == 1.5 and isinstance(model.k, float)
+    with pytest.raises(ValueError,
+                       match=r"^need non-negative integer n_vec of length 2, got \[1\.5, 1\.0\]$"):
+        measure.moment_check(model, [1.5, 1])
+    with pytest.raises(ValueError, match=r"^need finite r of length 2, got \[inf, 1\.0\]$"):
+        measure.density(model, [math.inf, 1])
+    with pytest.raises(ValueError, match=r"^need r >= 0, got \[-0\.5, 1\.0\]$"):
+        measure.density(model, [-0.5, 1])
 
 
 def test_moment_check_values():

@@ -233,7 +233,8 @@ def test_closed_spectral_trace_needs_finite_k(k, c_last):
 @pytest.mark.parametrize("mode, horizon", [("imaginary", math.inf), ("imaginary", math.nan),
                                            ("real", math.nan), ("real", -math.inf)])
 def test_trace_config_needs_a_finite_horizon(mode, horizon):
-    with pytest.raises(ValueError, match="need a finite horizon"):
+    bound = " > 0" if mode == "imaginary" else ""
+    with pytest.raises(ValueError, match=f"^need finite horizon{bound}, got {horizon}$"):
         pathint.TraceConfig(mode=mode, horizon=horizon, cutoff=4)
 
 
@@ -431,15 +432,27 @@ def test_trace_result_serialization():
     assert record["slices"] == 8 and record["weights"] == "linear"
 
 
+def test_non_finite_labels_are_named_without_warnings():
+    """An inf label used to reach conj(z) * zp and warn there before
+    f_series refused the product; diagonal_kernel's was refused as w."""
+    hp = pathint.HamiltonianParams.from_mu([1.0, 1.3])
+    with pytest.raises(ValueError, match=r"^need finite z of length 2, got \[\(inf\+0j\), 0j\]$"):
+        pathint.h_matrix_element([math.inf, 0.0], [0.5, 0.1], hp, 1.5)
+    with pytest.raises(ValueError, match=r"^need finite zp of length 2, got \[0j, \(-inf\+0j\)\]$"):
+        pathint.h_matrix_element([0.5, 0.1], [0.0, -math.inf], hp, 1.5)
+    with pytest.raises(ValueError, match=r"^need finite z of length 2, got \[\(inf\+0j\), 0j\]$"):
+        pathint.diagonal_kernel([math.inf, 0.0], hp, 1.5, 1.0)
+
+
 def test_label_and_dimension_checks():
     hp = pathint.HamiltonianParams.from_mu([1.0, 1.3])
     with pytest.raises(ValueError, match="unknown backend 'bogus'"):
         pathint.TraceConfig(backend="bogus")
-    with pytest.raises(ValueError, match="labels must have 2 components"):
+    with pytest.raises(ValueError, match=r"^need finite z of length 2, got \[\(0\.1\+0j\)\]$"):
         pathint.h_matrix_element([0.1], [0.1, 0.2], hp, 1.5)
-    with pytest.raises(ValueError, match="labels must have 2 components"):
+    with pytest.raises(ValueError, match=r"^need finite zp of length 2, got \[\(0\.1\+0j\), "):
         pathint.h_matrix_element([0.1, 0.2], [0.1, 0.2, 0.3], hp, 1.5)
-    with pytest.raises(ValueError, match="label must have 2 components"):
+    with pytest.raises(ValueError, match=r"^need finite z of length 2, got \[\(0\.1\+0j\), "):
         pathint.diagonal_kernel([0.1, 0.2, 0.3], hp, 1.5, 1.0)
     with pytest.raises(ValueError, match="space has N=1 but Hamiltonian has N=2"):
         pathint.h_operator(hp, 1.5, fock.rep_space(1, 1.5, 4))
