@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import coherent, fock, mc, measure, pathint
-from .specfun import ConvergenceError, _integer, _positive, _vector
+from .specfun import ConvergenceError, _finite, _integer, _positive, _vector
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -209,10 +209,12 @@ def _cmd_sample(args):
 
 
 def _cmd_trace(args):
-    horizon = args.beta if args.mode == "imaginary" else args.t
+    needed, unused = ("beta", "t") if args.mode == "imaginary" else ("t", "beta")
+    horizon = getattr(args, needed)
     if horizon is None:
-        needed = "--beta" if args.mode == "imaginary" else "--t"
-        raise ValueError(f"{args.mode}-time mode requires {needed}")
+        raise ValueError(f"{args.mode}-time mode requires --{needed}")
+    if getattr(args, unused) is not None:  # not read in this mode, but must be a number
+        _finite(unused, getattr(args, unused))
     mu = _vector("mu", args.mu, _integer("n", args.n, 1), float)
     hp = pathint.HamiltonianParams.from_mu(mu, c_last=args.c_last)
     weights = args.weights or ("linear" if args.backend == "matrix" else "exp")

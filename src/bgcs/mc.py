@@ -36,12 +36,18 @@ def split_count(total, workers):
 
 def draws(seed, workers, total, cap):
     """(rng, count) pairs in worker order: each worker's share of `total`
-    in pieces of at most `cap`, from that worker's stream."""
-    for rng, share in zip(spawn_rngs(seed, workers), split_count(total, workers)):
-        while share > 0:
-            count = min(cap, share)
-            yield rng, count
-            share -= count
+    in pieces of at most `cap`, from that worker's stream.  seed, workers
+    and total are checked on the call, before any stream is made, so a
+    caller can refuse them before its own work."""
+    seed, workers = _integer("seed", seed, 0), _integer("workers", workers, 1)
+    shares = split_count(total, workers)
+
+    def pieces():
+        for rng, share in zip(spawn_rngs(seed, workers), shares):
+            for done in range(0, share, cap):
+                yield rng, min(cap, share - done)
+
+    return pieces()
 
 
 @dataclass

@@ -304,11 +304,12 @@ def sampler_report(model, count, seed=mc.DEFAULT_SEED, workers=1):
         for b in range(a + 1, model.n):
             slot(f"r[{a}]r[{b}]", k * (k + 1.0))
 
+    parts = mc.draws(seed, workers, count, cap=count)  # refuses before the CDF integrals
     probes = [s * model.n * k for s in CDF_PROBE_SCALES]
     probe_cdf = [radial_cdf(model, q) for q in probes]
     below = np.zeros(len(probes), dtype=np.int64)
 
-    for rng, part in mc.draws(seed, workers, count, cap=count):
+    for rng, part in parts:
         r, theta = draw_labels(model, part, rng)
         for a in range(model.n):
             stats[f"r[{a}]"][0].add(r[:, a])
@@ -416,6 +417,7 @@ def resolution_check(model, cutoff, mode="quadrature", budget=10**5,
     |G - I| in units of that error.
     """
     space = fock.rep_space(model.n, model.k, cutoff)
+    parts = mc.draws(seed, workers, budget, cap=mc.CHUNK)  # checked in either mode
     if mode == "quadrature":
         max_dev = 0.0
         for state in space.occ.tolist():
@@ -430,7 +432,7 @@ def resolution_check(model, cutoff, mode="quadrature", budget=10**5,
     dim = space.dim
     gram = np.zeros((dim, dim), dtype=complex)
     width = max(1, mc.CHUNK // dim)  # samples per monomial block of <= CHUNK entries
-    for rng, chunk in mc.draws(seed, workers, budget, cap=mc.CHUNK):
+    for rng, chunk in parts:
         r, theta = draw_labels(model, chunk, rng)
         z = np.sqrt(r) * np.exp(1j * theta)
         for start in range(0, chunk, width):

@@ -216,7 +216,12 @@ def diagonal_kernel(z, hp, k, beta):
     into the overlap series argument mode by mode.
     """
     k, beta = _positive("k", k), _finite("beta", beta)
-    scaled = np.abs(_vector("z", z, hp.n)) ** 2 * np.exp(-beta * hp.mu)
+    z = _vector("z", z, hp.n)
+    with np.errstate(over="ignore", invalid="ignore"):  # out of range raises below
+        scaled = np.abs(z) ** 2 * np.exp(-beta * hp.mu)
+    if not np.isfinite(scaled).all():
+        raise OverflowError(f"kernel argument |z_a|^2 e^(-beta mu_a) exceeds double range "
+                            f"at beta={beta}")
     return math.exp(-beta * k * hp.c[-1]) * f_series(k, scaled)
 
 
@@ -302,6 +307,7 @@ def exact_kernel_trace(hp, k, beta, mode="quadrature", budget=10**6,
         raise ValueError(f"kernel trace needs all mu > 0, got {hp.mu.tolist()}")
     params = {"n": hp.n, "k": k, "c": list(hp.c), "beta": beta, "mode": mode}
     prefactor = math.exp(-beta * k * hp.c[-1])
+    parts = mc.draws(seed, workers, budget, cap=mc.CHUNK)  # checked in either mode
     if mode == "quadrature":
         value, err = _kernel_quadrature(hp, k, beta)
         return TraceResult(prefactor * value, prefactor * err, params)
@@ -310,7 +316,7 @@ def exact_kernel_trace(hp, k, beta, mode="quadrature", budget=10**6,
     model = measure.MeasureModel(hp.n, k)
     t = np.exp(-beta * hp.mu)
     acc = mc.RunningMoments()
-    for rng, chunk in mc.draws(seed, workers, budget, cap=mc.CHUNK):
+    for rng, chunk in parts:
         r, _ = measure.draw_labels(model, chunk, rng)
         acc.add(_f_series_vec(k, r @ t))
     params.update(budget=int(budget), seed=int(seed), workers=int(workers),

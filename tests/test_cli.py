@@ -171,6 +171,25 @@ def test_values_the_cli_would_ignore_or_not_report_exit_1(capsys):
     assert "bgcs formula-b: error: argument --tol: need finite tol > 0, got nan" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["rou", "--n", "1", "--k", "1", "--cutoff", "2", "--budget", "0", "--seed", "-5",
+      "--workers", "0"], "need integer seed >= 0, got -5"),
+    (["rou", "--n", "1", "--k", "1", "--cutoff", "2", "--budget", "0"],
+     "need integer sample count >= 1, got 0"),
+    (["rou", "--n", "1", "--k", "1", "--cutoff", "2", "--workers", "0"],
+     "need integer workers >= 1, got 0"),
+    (["trace", "--n", "1", "--k", "1", "--mu", "1", "--beta", "1", "--m", "8", "--cutoff", "4",
+      "--t", "nan"], "need finite t, got nan"),
+    (["trace", "--n", "1", "--k", "1", "--mu", "1", "--t", "1", "--m", "8", "--cutoff", "4",
+      "--mode", "real", "--beta", "inf"], "need finite beta, got inf"),
+])
+def test_options_a_mode_does_not_read_are_still_checked(argv, message, capsys):
+    """rou by quadrature draws no samples and imaginary-time trace reads no
+    --t (real time no --beta), yet a bad value there used to exit 0."""
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (1, "", f"bgcs {argv[0]}: {message}\n")
+
+
 def test_formula_a_divergent_origin_is_a_domain_error(capsys):
     code, out, err = run(["formula-a", "--n", "3", "--k", "2", "--s=-0.9,-0.9,-0.9"], capsys)
     assert (code, out) == (1, "")

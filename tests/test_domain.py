@@ -61,10 +61,16 @@ ROWS = {
                       {"n_vec": ("n_vec", AT_LEAST_0)}, ("model",))],
     "radial_cdf": [(lambda q=1.0: measure.radial_cdf(MODEL, q), {"q": ("q", POSITIVE)},
                     ("model",))],
-    "resolution_check": [(lambda cutoff=1, budget=200, seed=1, workers=1: measure.resolution_check(
-        MODEL, cutoff, mode="montecarlo", budget=budget, seed=seed, workers=workers),
-        {"cutoff": ("cutoff", AT_LEAST_0), "budget": ("sample count", POSITIVE),
-         "seed": ("seed", AT_LEAST_0), "workers": ("workers", POSITIVE)}, ("model", "mode"))],
+    "resolution_check": [
+        (lambda cutoff=1, budget=200, seed=1, workers=1: measure.resolution_check(
+            MODEL, cutoff, mode="montecarlo", budget=budget, seed=seed, workers=workers),
+         {"cutoff": ("cutoff", AT_LEAST_0), "budget": ("sample count", POSITIVE),
+          "seed": ("seed", AT_LEAST_0), "workers": ("workers", POSITIVE)}, ("model", "mode")),
+        (lambda budget=200, seed=1, workers=1: measure.resolution_check(
+            MODEL, 1, budget=budget, seed=seed, workers=workers),
+         {"budget": ("sample count", POSITIVE), "seed": ("seed", AT_LEAST_0),
+          "workers": ("workers", POSITIVE)}, ()),
+    ],
     "sample": [(lambda count=10, seed=1, workers=1: measure.sample(MODEL, count, seed, workers),
                 {"count": ("sample count", POSITIVE), "seed": ("seed", AT_LEAST_0),
                  "workers": ("workers", POSITIVE)}, ("model",))],
@@ -99,6 +105,10 @@ ROWS = {
          {"k": ("k", POSITIVE), "beta": ("beta", POSITIVE)}, ("hp", "mode")),
         (lambda budget=200, seed=1, workers=1: pathint.exact_kernel_trace(
             HP, 1.5, 1.0, mode="montecarlo", budget=budget, seed=seed, workers=workers),
+         {"budget": ("sample count", POSITIVE), "seed": ("seed", AT_LEAST_0),
+          "workers": ("workers", POSITIVE)}, ()),
+        (lambda budget=200, seed=1, workers=1: pathint.exact_kernel_trace(
+            HP, 1.5, 1.0, budget=budget, seed=seed, workers=workers),
          {"budget": ("sample count", POSITIVE), "seed": ("seed", AT_LEAST_0),
           "workers": ("workers", POSITIVE)}, ()),
     ],
@@ -171,6 +181,9 @@ CLI_ROWS = {
              "--tol": ("tol", POSITIVE), "--zmax": ("zmax", POSITIVE),
              "--seed": ("seed", AT_LEAST_0), "--workers": ("workers", POSITIVE),
              "--budget": ("sample count", POSITIVE)}),
+    "rou --mode quadrature": ({"--n": "1", "--k": "1", "--cutoff": "2", "--mode": "quadrature"},
+                              {"--seed": ("seed", AT_LEAST_0), "--workers": ("workers", POSITIVE),
+                               "--budget": ("sample count", POSITIVE)}),
     "sample": ({"--n": "1", "--k": "1", "--budget": "1000"},
                {"--n": ("n", POSITIVE), "--k": ("k", POSITIVE), "--zmax": ("zmax", POSITIVE),
                 "--seed": ("seed", AT_LEAST_0), "--workers": ("workers", POSITIVE),
@@ -178,13 +191,14 @@ CLI_ROWS = {
     "trace": ({"--n": "1", "--k": "1", "--mu": "1", "--beta": "1", "--m": "8", "--cutoff": "4",
                "--budget": "1000"},
               {"--n": ("n", POSITIVE), "--k": ("k", POSITIVE), "--mu": ("mu", REAL),
-               "--c-last": ("c_last", REAL), "--beta": ("horizon", POSITIVE),
+               "--c-last": ("c_last", REAL), "--beta": ("horizon", POSITIVE), "--t": ("t", REAL),
                "--m": ("slices", POSITIVE), "--cutoff": ("cutoff", AT_LEAST_0),
                "--tol": ("tol", POSITIVE), "--zmax": ("zmax", POSITIVE),
                "--seed": ("seed", AT_LEAST_0), "--workers": ("workers", POSITIVE),
                "--budget": ("budget", POSITIVE)}),
     "trace --mode real": ({"--n": "1", "--k": "1", "--mu": "1", "--t": "1", "--m": "8",
-                           "--cutoff": "4", "--mode": "real"}, {"--t": ("horizon", REAL)}),
+                           "--cutoff": "4", "--mode": "real"},
+                          {"--t": ("horizon", REAL), "--beta": ("beta", REAL)}),
 }
 
 

@@ -25,6 +25,17 @@ def test_draws_partition_the_budget(seed, workers, total, cap):
     assert list(per_worker.values()) == [c for c in mc.split_count(total, workers) if c]
 
 
+def test_draws_checks_its_arguments_on_the_call():
+    """No piece needs to be drawn for a bad seed, workers or total to raise,
+    and a good call makes no stream until its first piece is asked for."""
+    for seed, workers, total, name in ((-1, 1, 10, "seed"), (1, 0, 10, "workers"),
+                                       (1, 1, 0, "sample count")):
+        with pytest.raises(ValueError, match=f"need integer {name} >= "):
+            mc.draws(seed, workers, total, cap=4)
+    pieces = mc.draws(1, 2, 10, cap=4)
+    assert [count for _, count in pieces] == [4, 1, 4, 1]
+
+
 # values captured from the per-routine loops before they moved onto mc.draws
 
 

@@ -432,6 +432,19 @@ def test_sampler_report_structure():
         assert row["sem"] > 0.0
 
 
+@pytest.mark.parametrize("count, seed, workers, name", [
+    (0, 1, 1, "sample count"), (10, -1, 1, "seed"), (10, 1, 0, "workers"), (2.5, 1, 1, "sample count"),
+])
+def test_sampler_report_refuses_before_any_quadrature(monkeypatch, count, seed, workers, name):
+    """A bad count, seed or workers is refused before the ten radial_cdf
+    integrals, which at (N, K) = (3, 2.5) cost tens of milliseconds."""
+    calls = []
+    monkeypatch.setattr(measure, "radial_cdf", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=f"need integer {name} >= "):
+        measure.sampler_report(measure.MeasureModel(3, 2.5), count, seed, workers)
+    assert calls == []
+
+
 def test_sampler_report_within_bands():
     model = measure.MeasureModel(1, 1.0)
     report = measure.sampler_report(model, 100_000, seed=0)

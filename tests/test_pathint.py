@@ -123,6 +123,16 @@ def test_diagonal_kernel_vs_expm():
     assert complex(closed) == pytest.approx(complex(sandwich), rel=1e-12)
 
 
+@pytest.mark.parametrize("z", [[0.5], [0.0], [1e200]])
+def test_diagonal_kernel_out_of_range_is_an_overflow_error(z):
+    """e^(-beta mu) or |z|^2 past double range is an OverflowError, with no
+    RuntimeWarning on the way (pytest makes one an error); it used to be a
+    ValueError naming f_series' w."""
+    beta = -1000.0 if z != [1e200] else 1.0
+    with pytest.raises(OverflowError, match=f"exceeds double range at beta={beta}"):
+        pathint.diagonal_kernel(z, pathint.HamiltonianParams.from_mu([1.0]), 1.0, beta)
+
+
 KERNEL_MU = {1: [1.0], 2: [1.0, 1.6], 3: [1.0, 1.3, 1.7], 4: [1.0, 1.3, 1.7, 2.1],
              5: [1.0, 1.3, 1.7, 2.1, 2.5], 6: [1.0, 1.3, 1.7, 2.1, 2.5, 2.9]}
 
