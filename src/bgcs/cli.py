@@ -162,11 +162,16 @@ def _cmd_inner(args):
     return report, _EXIT_OK
 
 
+def _gate(report, key, bound, passed):
+    """The verdict of a gated check: the bound under `key` ("tol" or "zmax"),
+    `passed` as a JSON bool, and the report with its exit code."""
+    report[key] = bound
+    report["passed"] = bool(passed)
+    return report, _EXIT_OK if passed else _EXIT_BREACH
+
+
 def _finish_check(result, tol):
-    report = result.as_dict()
-    report["tol"] = tol
-    report["passed"] = bool(result.rel_err <= tol)
-    return report, _EXIT_OK if report["passed"] else _EXIT_BREACH
+    return _gate(result.as_dict(), "tol", tol, result.rel_err <= tol)
 
 
 def _cmd_measure_check(args):
@@ -188,14 +193,9 @@ def _cmd_rou(args):
         model, args.cutoff, mode=args.mode, budget=args.budget,
         seed=_resolve_seed(args), workers=args.workers,
     )
-    report = result.as_dict()
     if args.mode == "quadrature":
-        report["tol"] = args.tol
-        report["passed"] = bool(result.max_dev <= args.tol)
-    else:
-        report["zmax"] = args.zmax
-        report["passed"] = bool(result.max_z <= args.zmax)
-    return report, _EXIT_OK if report["passed"] else _EXIT_BREACH
+        return _gate(result.as_dict(), "tol", args.tol, result.max_dev <= args.tol)
+    return _gate(result.as_dict(), "zmax", args.zmax, result.max_z <= args.zmax)
 
 
 def _cmd_sample(args):
@@ -203,9 +203,7 @@ def _cmd_sample(args):
     report = measure.sampler_report(
         model, args.budget, seed=_resolve_seed(args), workers=args.workers,
     )
-    report["zmax"] = args.zmax
-    report["passed"] = bool(report["max_z"] <= args.zmax)
-    return report, _EXIT_OK if report["passed"] else _EXIT_BREACH
+    return _gate(report, "zmax", args.zmax, report["max_z"] <= args.zmax)
 
 
 def _cmd_trace(args):
@@ -242,11 +240,8 @@ def _cmd_trace(args):
         report["reference"] = reference.real
         if reference.imag != 0.0:
             report["reference_im"] = reference.imag
-        rel = abs(complex(result.value) - reference) / abs(reference)
-        report["rel_err"] = rel
-        report["tol"] = args.tol
-        report["passed"] = bool(rel <= args.tol)
-        return report, _EXIT_OK if report["passed"] else _EXIT_BREACH
+        report["rel_err"] = rel = abs(complex(result.value) - reference) / abs(reference)
+        return _gate(report, "tol", args.tol, rel <= args.tol)
 
     # montecarlo estimates the sliced integral itself, so the reference is
     # the transfer-spectrum value at the same weights, and the agreement
@@ -261,9 +256,7 @@ def _cmd_trace(args):
     report["reference"] = complex(mat.value).real
     report["series_bound"] = bound
     report["gap"] = gap
-    report["zmax"] = args.zmax
-    report["passed"] = bool(gap <= bound + args.zmax * result.error)
-    return report, _EXIT_OK if report["passed"] else _EXIT_BREACH
+    return _gate(report, "zmax", args.zmax, gap <= bound + args.zmax * result.error)
 
 
 @lru_cache(maxsize=1)

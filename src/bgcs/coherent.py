@@ -28,9 +28,13 @@ so F_N(K; w) is the one-variable confluent limit series evaluated at
 s = sum(w), and each shell is a single term Gamma(K) s^d / (d! Gamma(K+d)).
 For N = 1 this gives F_1(K; x) = Gamma(K) x^((1-K)/2) I_{K-1}(2 sqrt x).
 f_series (one label product w) and _f_series_vec (an array of summed
-arguments) run that recurrence in one kernel, _shell_sum, so they agree
-bit for bit at the same s.  The same kernel with a weight per shell sums
-the angular moments of the quadrature kernel trace (bgcs.pathint).
+arguments) run that recurrence in one kernel, _shell_sum, so a one-lane
+_f_series_vec call is f_series bit for bit at the same s.  The lanes of
+one call share its stop shell, so a lane of a larger call can add tail
+shells below SHELL_TOL that its one-lane call stopped before: it agrees
+with that call to SHELL_TOL relative, not bit for bit.  The same kernel
+with a weight per shell sums the angular moments of the quadrature
+kernel trace (bgcs.pathint).
 """
 
 from __future__ import annotations

@@ -41,6 +41,7 @@ truncation error.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -280,6 +281,19 @@ CDF_PROBE_SCALES = (0.1, 0.25, 0.4, 0.6, 0.8, 1.0, 1.3, 1.7, 2.2, 3.0)
 FOURIER_MODES = (1, 2)  # angular modes m of the E[exp(i m theta_a)] = 0 rows
 
 
+def _check_row(quantity, estimate, expected, sem):
+    """One sampler report row: the estimate and its distance from the
+    expected value in units of its standard error."""
+    return {
+        "quantity": quantity,
+        "estimate_re": float(np.real(estimate)),
+        "estimate_im": float(np.imag(estimate)),
+        "expected": expected,
+        "sem": sem,
+        "z_score": abs(estimate - expected) / sem if sem > 0 else math.inf,
+    }
+
+
 def sampler_report(model, count, seed=mc.DEFAULT_SEED, workers=1):
     """Moment, angular-mode, and total-radius CDF estimates from the exact
     sampler, each with its standard error and the independently computed
@@ -290,19 +304,15 @@ def sampler_report(model, count, seed=mc.DEFAULT_SEED, workers=1):
     R at ten fixed quantiles against its tanh-sinh integral, radial_cdf.
     """
     k = model.k
-    stats = {}
-
-    def slot(name, expected):
-        stats[name] = (mc.RunningMoments(), expected)
-
+    specs = []  # (quantity, expected, statistic of (r, theta)), in report order
     for a in range(model.n):
-        slot(f"r[{a}]", k)
-        slot(f"r[{a}]^2", 2.0 * k * (k + 1.0))
-        for m in FOURIER_MODES:
-            slot(f"exp(i{m}theta[{a}])", 0.0)
-    for a in range(model.n):
-        for b in range(a + 1, model.n):
-            slot(f"r[{a}]r[{b}]", k * (k + 1.0))
+        specs += [(f"r[{a}]", k, lambda r, t, a=a: r[:, a]),
+                  (f"r[{a}]^2", 2.0 * k * (k + 1.0), lambda r, t, a=a: r[:, a] ** 2)]
+        specs += [(f"exp(i{m}theta[{a}])", 0.0, lambda r, t, a=a, m=m: np.exp(1j * m * t[:, a]))
+                  for m in FOURIER_MODES]
+    specs += [(f"r[{a}]r[{b}]", k * (k + 1.0), lambda r, t, a=a, b=b: r[:, a] * r[:, b])
+              for a, b in itertools.combinations(range(model.n), 2)]
+    accs = [mc.RunningMoments() for _ in specs]
 
     parts = mc.draws(seed, workers, count, cap=count)  # refuses before the CDF integrals
     probes = [s * model.n * k for s in CDF_PROBE_SCALES]
@@ -311,46 +321,17 @@ def sampler_report(model, count, seed=mc.DEFAULT_SEED, workers=1):
 
     for rng, part in parts:
         r, theta = draw_labels(model, part, rng)
-        for a in range(model.n):
-            stats[f"r[{a}]"][0].add(r[:, a])
-            stats[f"r[{a}]^2"][0].add(r[:, a] ** 2)
-            for m in FOURIER_MODES:
-                stats[f"exp(i{m}theta[{a}])"][0].add(np.exp(1j * m * theta[:, a]))
-        for a in range(model.n):
-            for b in range(a + 1, model.n):
-                stats[f"r[{a}]r[{b}]"][0].add(r[:, a] * r[:, b])
+        for (_, _, statistic), acc in zip(specs, accs):
+            acc.add(statistic(r, theta))  # so one statistic array is alive at a time
         big_r = np.sum(r, axis=1)
         for j, q in enumerate(probes):
             below[j] += int(np.count_nonzero(big_r <= q))
 
-    rows = []
-    for name, (acc, expected) in stats.items():
-        sem = acc.sem
-        dev = abs(acc.mean - expected)
-        rows.append(
-            {
-                "quantity": name,
-                "estimate_re": float(np.real(acc.mean)),
-                "estimate_im": float(np.imag(acc.mean)),
-                "expected": expected,
-                "sem": sem,
-                "z_score": dev / sem if sem > 0 else math.inf,
-            }
-        )
-    for j, q in enumerate(probes):
-        p = probe_cdf[j]
-        p_hat = below[j] / count
-        sem = math.sqrt(p * (1.0 - p) / count)
-        rows.append(
-            {
-                "quantity": f"cdf(R<={q:.6g})",
-                "estimate_re": float(p_hat),
-                "estimate_im": 0.0,
-                "expected": float(p),
-                "sem": sem,
-                "z_score": abs(p_hat - p) / sem if sem > 0 else math.inf,
-            }
-        )
+    rows = [_check_row(name, acc.mean, expected, acc.sem)
+            for (name, expected, _), acc in zip(specs, accs)]
+    rows += [_check_row(f"cdf(R<={q:.6g})", below[j] / count, float(p),
+                        math.sqrt(p * (1.0 - p) / count))
+             for j, (q, p) in enumerate(zip(probes, probe_cdf))]
     return {
         "check": "sampler_moments",
         "params": {"n": model.n, "k": model.k},

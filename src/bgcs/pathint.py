@@ -213,12 +213,17 @@ def diagonal_kernel(z, hp, k, beta):
     """<z|exp(-beta H)|z> = e^{-beta K c_{N+1}} F_N(K; (|z_a|^2 e^{-beta mu_a})).
 
     Each basis amplitude just picks up its Boltzmann factor, which folds
-    into the overlap series argument mode by mode.
+    into the overlap series argument mode by mode.  A lane whose product
+    is not finite (an overflow, or 0 * inf where |z_a|^2 underflows) is
+    taken again as exp(2 log|z_a| - beta mu_a); the other lanes keep the
+    product's bits.
     """
     k, beta = _positive("k", k), _finite("beta", beta)
-    z = _vector("z", z, hp.n)
-    with np.errstate(over="ignore", invalid="ignore"):  # out of range raises below
-        scaled = np.abs(z) ** 2 * np.exp(-beta * hp.mu)
+    z, mu = _vector("z", z, hp.n), hp.mu
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # out of range raises below
+        scaled = np.abs(z) ** 2 * np.exp(-beta * mu)
+        lost = ~np.isfinite(scaled)
+        scaled[lost] = np.exp(2.0 * np.log(np.abs(z[lost])) - beta * mu[lost])
     if not np.isfinite(scaled).all():
         raise OverflowError(f"kernel argument |z_a|^2 e^(-beta mu_a) exceeds double range "
                             f"at beta={beta}")

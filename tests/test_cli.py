@@ -228,6 +228,39 @@ def test_tolerance_breach_exit_2(capsys):
     assert report["passed"] is False
 
 
+GATED = {
+    "measure-check": (["measure-check", "--n", "2", "--k", "1.5", "--occ", "1,2"], "tol"),
+    "formula-a": (["formula-a", "--n", "2", "--k", "1.5", "--s", "0.5,1.3"], "tol"),
+    "formula-b": (["formula-b", "--mu", "2.5", "--nu", "0.7", "--a", "1.3"], "tol"),
+    "rou-quadrature": (["rou", "--n", "1", "--k", "0.5", "--cutoff", "4"], "tol"),
+    "rou-montecarlo": (["rou", "--n", "1", "--k", "1", "--cutoff", "2", "--mode", "montecarlo",
+                        "--budget", "2000", "--seed", "1"], "zmax"),
+    "sample": (["sample", "--n", "1", "--k", "1", "--budget", "2000", "--seed", "1"], "zmax"),
+    "trace-matrix": (["trace", "--n", "1", "--k", "1", "--mu", "1", "--beta", "1", "--m", "64",
+                      "--cutoff", "20"], "tol"),
+    "trace-montecarlo": (["trace", "--n", "1", "--k", "2", "--mu", "1", "--beta", "1", "--m", "8",
+                          "--backend", "montecarlo", "--cutoff", "4", "--budget", "2000",
+                          "--seed", str(DEFAULT_SEED)], "zmax"),
+}
+
+
+@pytest.mark.parametrize("command", GATED)
+@pytest.mark.parametrize("bound, code", [(None, 0), ("1e-300", 2)])
+def test_every_gate_reports_its_bound_and_verdict(command, bound, code, capsys):
+    """Each gated subcommand writes the bound it was held to under its own
+    key ("tol" or "zmax", never both), `passed` as a JSON bool, and exits 0
+    at its default bound and 2 when the bound is breached."""
+    argv, key = GATED[command]
+    argv = argv + ([] if bound is None else [f"--{key}", bound])
+    got, out, err = run(argv, capsys)
+    report = json.loads(out)
+    assert (got, err) == (code, "")
+    assert report[key] == vars(cli.build_parser().parse_args(argv))[key]
+    assert ("zmax" if key == "tol" else "tol") not in report
+    assert f'"passed": {"true" if code == 0 else "false"}' in out
+    assert report["passed"] is (code == 0)
+
+
 def test_eval_f_matches_library(capsys):
     code, out, _ = run(["eval-f", "--k", "1.5", "--w", "0.3,0.5+0.2j"], capsys)
     assert code == 0

@@ -144,6 +144,25 @@ def test_f_series_is_every_lane_of_a_batch(lanes, s):
     assert batch.tobytes() == np.full(lanes, coherent.f_series(1.5, [s])).tobytes()
 
 
+@pytest.mark.parametrize("kind", [float, complex])
+def test_batch_lanes_are_within_shell_tol_of_their_lone_calls(kind):
+    """A one-lane call is f_series bit for bit.  A batch's lanes share one
+    stop shell, so a lane can take on tail shells below SHELL_TOL that its
+    lone call stopped before: each lane is its lone call to SHELL_TOL
+    relative, not bit for bit."""
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        k = rng.uniform(0.2, 5.0)
+        s = rng.uniform(-20.0, 60.0, 50)
+        if kind is complex:
+            s = s + 1j * rng.uniform(-30.0, 30.0, 50)
+        batch = coherent._f_series_vec(k, s)
+        alone = np.array([coherent._f_series_vec(k, s[i:i + 1])[0] for i in range(s.size)])
+        lone_f = np.array([coherent.f_series(k, [v]) for v in s.tolist()])
+        assert alone.tobytes() == lone_f.tobytes()
+        assert np.all(np.abs(batch - alone) <= coherent.SHELL_TOL * np.abs(alone))
+
+
 @given(st.floats(min_value=0.05, max_value=8.0),
        st.one_of(st.lists(st.floats(min_value=-20.0, max_value=60.0), min_size=1, max_size=6),
                  st.lists(complex_args, min_size=1, max_size=6)))

@@ -432,6 +432,32 @@ def test_sampler_report_structure():
         assert row["sem"] > 0.0
 
 
+MODE_ROWS = ["r[{a}]", "r[{a}]^2", "exp(i1theta[{a}])", "exp(i2theta[{a}])"]
+PAIR_ROWS = {1: [], 2: ["r[0]r[1]"], 3: ["r[0]r[1]", "r[0]r[2]", "r[1]r[2]"]}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sampler_report_rows_in_order(n):
+    """Four rows per mode, mode by mode, then one row per pair a < b, then
+    the ten CDF rows at N K times each probe scale; every row has the same
+    six keys, and its expectation from the closed forms."""
+    k = 1.5
+    report = measure.sampler_report(measure.MeasureModel(n, k), 1000, seed=1)
+    per_mode = [name.format(a=a) for a in range(n) for name in MODE_ROWS]
+    cdf = [f"cdf(R<={scale * n * k:.6g})" for scale in measure.CDF_PROBE_SCALES]
+    rows = report["rows"]
+    assert [row["quantity"] for row in rows] == per_mode + PAIR_ROWS[n] + cdf
+    assert len(rows) == 4 * n + n * (n - 1) // 2 + 10
+    for row in rows:
+        assert sorted(row) == ["estimate_im", "estimate_re", "expected", "quantity", "sem",
+                               "z_score"]
+    expected = [k, 2.0 * k * (k + 1.0), 0.0, 0.0] * n + [k * (k + 1.0)] * len(PAIR_ROWS[n])
+    assert [row["expected"] for row in rows[:len(expected)]] == expected
+    for row, scale in zip(rows[len(expected):], measure.CDF_PROBE_SCALES):
+        assert row["expected"] == measure.radial_cdf(measure.MeasureModel(n, k), scale * n * k)
+        assert row["estimate_im"] == 0.0
+
+
 @pytest.mark.parametrize("count, seed, workers, name", [
     (0, 1, 1, "sample count"), (10, -1, 1, "seed"), (10, 1, 0, "workers"), (2.5, 1, 1, "sample count"),
 ])

@@ -123,14 +123,34 @@ def test_diagonal_kernel_vs_expm():
     assert complex(closed) == pytest.approx(complex(sandwich), rel=1e-12)
 
 
-@pytest.mark.parametrize("z", [[0.5], [0.0], [1e200]])
+@pytest.mark.parametrize("z", [[0.5], [1e200]])
 def test_diagonal_kernel_out_of_range_is_an_overflow_error(z):
-    """e^(-beta mu) or |z|^2 past double range is an OverflowError, with no
+    """|z|^2 e^(-beta mu) past double range is an OverflowError, with no
     RuntimeWarning on the way (pytest makes one an error); it used to be a
     ValueError naming f_series' w."""
     beta = -1000.0 if z != [1e200] else 1.0
     with pytest.raises(OverflowError, match=f"exceeds double range at beta={beta}"):
         pathint.diagonal_kernel(z, pathint.HamiltonianParams.from_mu([1.0]), 1.0, beta)
+
+
+@pytest.mark.parametrize("z, beta", [([0.0], -1000.0), ([1e-200], -800.0), ([1e200], 1000.0),
+                                     ([0.0, 1e-170], -710.0)])
+def test_diagonal_kernel_with_one_factor_out_of_range(z, beta):
+    """Where e^(-beta mu_a) or |z_a|^2 alone leaves double range but their
+    product does not, the kernel is e^(-beta K c) F(K; ~0) = 1 (c = 0), not
+    the 0 * inf = nan of the unscaled product, and no RuntimeWarning."""
+    hp = pathint.HamiltonianParams.from_mu([1.0] * len(z))
+    assert pathint.diagonal_kernel(z, hp, 1.0, beta) == 1.0
+
+
+def test_diagonal_kernel_keeps_the_bits_of_in_range_lanes():
+    """A lane taken again in log space (here 0 * inf) leaves the bits of an
+    in-range lane beside it alone."""
+    z, beta = 0.3 + 0.4j, -710.0
+    alone = pathint.diagonal_kernel([z], pathint.HamiltonianParams.from_mu([1e-3]), 1.0, beta)
+    pair = pathint.diagonal_kernel([0.0, z], pathint.HamiltonianParams.from_mu([1.0, 1e-3]),
+                                   1.0, beta)
+    assert pair == alone != 1.0
 
 
 KERNEL_MU = {1: [1.0], 2: [1.0, 1.6], 3: [1.0, 1.3, 1.7], 4: [1.0, 1.3, 1.7, 2.1],
