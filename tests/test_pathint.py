@@ -123,14 +123,16 @@ def test_diagonal_kernel_vs_expm():
     assert complex(closed) == pytest.approx(complex(sandwich), rel=1e-12)
 
 
-@pytest.mark.parametrize("z", [[0.5], [1e200]])
+@pytest.mark.parametrize("z", [[0.5], [0.0, 0.5], [1e200]])
 def test_diagonal_kernel_out_of_range_is_an_overflow_error(z):
     """|z|^2 e^(-beta mu) past double range is an OverflowError, with no
     RuntimeWarning on the way (pytest makes one an error); it used to be a
-    ValueError naming f_series' w."""
+    ValueError naming f_series' w.  A z_a = 0 lane, finite in log space,
+    does not hide an overflowing lane beside it."""
     beta = -1000.0 if z != [1e200] else 1.0
+    hp = pathint.HamiltonianParams.from_mu([1.0] * len(z))
     with pytest.raises(OverflowError, match=f"exceeds double range at beta={beta}"):
-        pathint.diagonal_kernel(z, pathint.HamiltonianParams.from_mu([1.0]), 1.0, beta)
+        pathint.diagonal_kernel(z, hp, 1.0, beta)
 
 
 @pytest.mark.parametrize("z, beta", [([0.0], -1000.0), ([1e-200], -800.0), ([1e200], 1000.0),
