@@ -18,7 +18,11 @@ import numpy as np
 from .specfun import _integer
 
 DEFAULT_SEED = 20260823
-CHUNK = 200_000  # samples drawn at once, bounding the memory of a chunk
+# The piece length of the Monte Carlo resolution of unity and the kernel and
+# sliced traces, bounding the labels they hold at once.  sample and
+# sampler_report draw each worker's share as one piece, because the piece
+# layout fixes the labels; sampler_report then holds a block at a time.
+CHUNK = 200_000
 
 
 def spawn_rngs(seed, workers):

@@ -1,8 +1,10 @@
 """Radial measure layer: density and CDF against independent quadrature,
 both integral formulas, the exact sampler, and the resolution of unity."""
 
+import itertools
 import math
 import re
+import tracemalloc
 import warnings
 
 import mpmath
@@ -13,7 +15,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgcs import mc, measure, quadrature, specfun
+from bgcs import fock, mc, measure, quadrature, specfun
 
 HALF_PI_ROOT2 = 2.2214414690791831  # (1/4) 2 Gamma(3/4) Gamma(1/4) = pi/sqrt(2) * ...
 
@@ -477,6 +479,63 @@ def test_sampler_report_within_bands():
     assert report["max_z"] <= 4.5
 
 
+def _full_array_rows(model, count, seed, workers):
+    """(quantity, per-sample statistic) in report order, from the labels of
+    measure.sample, with exp(i m theta) taken directly."""
+    r, theta = measure.sample(model, count, seed, workers)
+    rows = []
+    for a in range(model.n):
+        rows += [(f"r[{a}]", r[:, a]), (f"r[{a}]^2", r[:, a] ** 2)]
+        rows += [(f"exp(i{m}theta[{a}])", np.exp(1j * m * theta[:, a]))
+                 for m in measure.FOURIER_MODES]
+    rows += [(f"r[{a}]r[{b}]", r[:, a] * r[:, b])
+             for a, b in itertools.combinations(range(model.n), 2)]
+    big_r = np.sum(r, axis=1)
+    rows += [(f"cdf(R<={q:.6g})", (big_r <= q).astype(float))
+             for q in (scale * model.n * model.k for scale in measure.CDF_PROBE_SCALES)]
+    return rows
+
+
+BLOCK = measure._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("count", [777, BLOCK, 2 * BLOCK, 3 * BLOCK + 2])
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("k", [0.3, 2.5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sampler_report_rows_are_means_over_the_sampled_labels(n, k, workers, count):
+    """The streamed report reads the labels of measure.sample: each row is
+    the plain mean over those labels, to rounding, and each CDF count is
+    exact.  The counts fall below, at and above one block per worker
+    (3 * BLOCK + 2 over three workers gives shares of BLOCK + 1 and BLOCK);
+    K = 0.3 takes numpy's K < 1 Gamma branch."""
+    model = measure.MeasureModel(n, k)
+    report = measure.sampler_report(model, count, seed=7, workers=workers)
+    reference = _full_array_rows(model, count, 7, workers)
+    assert [row["quantity"] for row in report["rows"]] == [name for name, _ in reference]
+    for row, (name, values) in zip(report["rows"], reference):
+        estimate = complex(row["estimate_re"], row["estimate_im"])
+        if name.startswith("cdf("):
+            assert estimate == np.count_nonzero(values) / count
+            continue
+        scale = float(np.mean(np.abs(values)))
+        assert abs(estimate - np.mean(values)) <= 1e-12 * scale, name
+        spread = np.mean(np.abs(values) ** 2) - abs(np.mean(values)) ** 2
+        assert row["sem"] == pytest.approx(math.sqrt(spread / (count - 1)), rel=1e-9), name
+
+
+def test_sampler_report_holds_one_block():
+    """Past the mixing variables (8 bytes per sample), the report holds one
+    block of labels and its statistics, not a full-length array per row."""
+    tracemalloc.start()
+    try:
+        measure.sampler_report(measure.MeasureModel(3, 2.5), 300_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 300_000
+
+
 # --- resolution of unity ---------------------------------------------------
 
 
@@ -510,6 +569,36 @@ def test_resolution_montecarlo_bounds_monomial_blocks(monkeypatch):
     measure.resolution_check(measure.MeasureModel(3, 2.5), 6, mode="montecarlo", budget=5000)
     assert sum(sizes) == 84 * 5000
     assert max(sizes) <= mc.CHUNK
+
+
+def test_resolution_montecarlo_holds_one_chunk_of_radii():
+    """A chunk holds its mixing variables and radii whole, and theta, z and
+    the monomials one block at a time: three monomial-block buffers (the
+    powers, M and its conjugate) past the radii."""
+    model, cutoff = measure.MeasureModel(3, 2.5), 6
+    dim = fock.rep_space(model.n, model.k, cutoff).dim
+    block = 16 * dim * (mc.CHUNK // dim)
+    tracemalloc.start()
+    try:
+        measure.resolution_check(model, cutoff, mode="montecarlo", budget=mc.CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * mc.CHUNK * (model.n + 1) + 3 * block
+
+
+@pytest.mark.parametrize("n, k, cutoff, budget, max_dev, max_z", [
+    (3, 2.5, 6, 30_000, 1.8103251376563054, 2.8554970697753235),
+    (2, 1.5, 4, 410_001, 0.15008287850053637, 2.3341648726474604),
+])
+def test_resolution_montecarlo_keeps_its_bits(n, k, cutoff, budget, max_dev, max_z):
+    """Values captured when theta and z were drawn for a whole chunk at
+    once: drawn a block at a time, the Gram matrix keeps every bit.  The
+    first case spans seven monomial blocks per worker, the second two
+    chunks per worker."""
+    res = measure.resolution_check(measure.MeasureModel(n, k), cutoff, mode="montecarlo",
+                                   budget=budget, seed=9, workers=2)
+    assert (res.max_dev, res.max_z) == (max_dev, max_z)
 
 
 def test_resolution_unknown_mode():
