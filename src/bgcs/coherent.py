@@ -230,12 +230,16 @@ def _f_series_vec(k, s, weights=None):
     return _shell_sum(k, s, SHELL_TOL, MAX_SHELLS, weights)
 
 
+def _overlap_argument(z, zp):
+    """x_a = conj(z_a) z'_a, taken as the real |z_a|^2 when z == z': conj(z) * z
+    through the vectorized complex multiply can keep a stray FMA-contracted
+    imaginary residue, and a diagonal element is real."""
+    if np.array_equal(z, zp):
+        return z.real**2 + z.imag**2
+    return np.conj(z) * zp
+
+
 def inner_product(z, zp, k):
     """Overlap <z|z'> = F_N(K; (conj(z_a) z'_a)), to f_series' SHELL_TOL."""
     z = _vector("z", z)
-    zp = _vector("zp", zp, z.size)
-    if np.array_equal(z, zp):
-        # conj(z) * z through the vectorized complex multiply can keep a
-        # stray FMA-contracted imaginary residue; the self-overlap is real
-        return f_series(k, z.real**2 + z.imag**2)
-    return f_series(k, np.conj(z) * zp)
+    return f_series(k, _overlap_argument(z, _vector("zp", zp, z.size)))

@@ -11,10 +11,14 @@ as
     E_{N+1,a}   |n> = sqrt(n_a (K - 1 + sum n)) |n - e_a>      lowering
     E_{N+1,N+1} |n> = (K + sum n) |n>
 
-with K any positive real; occupation factorials never appear explicitly,
-so no entry requires integer K.  For 0 < K < 1 the lowering coefficient at
-total degree zero multiplies sqrt(n_a) = 0 and is simply skipped, so all
-matrices stay real.
+with K any positive real.  All five are one bilinear rule E_{ab} = c_a d_b:
+d_b is a_b (weight n_b) or, for b = N+1, the slaved b^dagger (weight
+K + sum n); then c_a is a_a^dagger (weight n_a + 1 after d_b) or, for
+a = N+1, the slaved b (weight K - 1 + sum n after a lowering, K + sum n
+after b^dagger).  The entry is sqrt(weight_d weight_c); on the diagonal
+that is sqrt(w * w), which IEEE returns as w exactly.  A zero weight is
+skipped, so for 0 < K < 1 no sqrt of a negative forms, and no occupation
+factorial appears, so no entry requires integer K.
 
 Truncation keeps multi-indices with total degree <= cutoff.  A space holds
 them as the rows of an integer array, ordered by total degree and then
@@ -100,33 +104,27 @@ def rep_space(n, k, cutoff):
 
 
 def generator_matrix(space, alpha, beta):
-    """Matrix of E_{alpha beta} on the truncated space (1-based indices,
-    alpha and beta in 1..N+1)."""
+    """Matrix of E_{alpha beta} = c_alpha d_beta on the truncated space
+    (1-based indices, alpha and beta in 1..N+1); see the module docstring."""
     n, k, occ, deg = space.n, space.k, space.occ, space.deg
     if not (1 <= alpha <= n + 1 and 1 <= beta <= n + 1):
         raise ValueError(f"need generator indices alpha, beta in 1..{n + 1}, got ({alpha}, {beta})")
-    last = n + 1  # index value meaning the (N+1)-st mode
-    cols = np.arange(space.dim)
-    if alpha == last and beta == last:
-        vals = k + deg
-    elif alpha == last:  # lowering operator E_{N+1, beta}
-        cols = cols[occ[:, beta - 1] >= 1]
-        vals = np.sqrt(occ[cols, beta - 1] * (k - 1.0 + deg[cols]))
-    elif beta == last:  # raising operator E_{alpha, N+1}
-        cols = cols[deg <= space.cutoff - 1]
-        vals = np.sqrt((occ[cols, alpha - 1] + 1) * (k + deg[cols]))
-    elif alpha == beta:
-        vals = occ[:, alpha - 1].astype(float)
-    else:
-        cols = cols[occ[:, beta - 1] >= 1]
-        vals = np.sqrt(occ[cols, beta - 1] * (occ[cols, alpha - 1] + 1))
-    target = occ[cols]
-    if beta != last:
+    target = occ.copy()
+    if beta <= n:  # a_beta
+        weight = occ[:, beta - 1]
         target[:, beta - 1] -= 1
-    if alpha != last:
+    else:  # the slaved b^dagger: n_{N+1} + 1, formed as K + |n|
+        weight = k + deg
+    if alpha <= n:  # a_alpha^dagger
+        weight = weight * (target[:, alpha - 1] + 1)
         target[:, alpha - 1] += 1
+    else:  # the slaved b: n_{N+1} = K - 1 + |n|, or K + |n| after b^dagger
+        weight = weight * (k + deg if beta > n else k - 1.0 + deg)
+    # a row raised past the cutoff is annihilated
+    weight = weight * (deg <= space.cutoff - (alpha <= n) + (beta <= n))
+    cols = np.flatnonzero(weight)
     mat = np.zeros((space.dim, space.dim))
-    mat[space.rank(target), cols] = vals
+    mat[space.rank(target[cols]), cols] = np.sqrt(weight[cols])
     return mat
 
 

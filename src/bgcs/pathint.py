@@ -65,7 +65,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import fock, mc, measure
-from .coherent import MAX_SHELLS, _f_series_vec, coefficients, f_series
+from .coherent import MAX_SHELLS, _f_series_vec, _overlap_argument, coefficients, f_series
 from .quadrature import de_halfline, gauss_legendre_01
 from .specfun import _finite, _integer, _positive, _vector, bessel_i, log_gamma
 
@@ -156,7 +156,7 @@ class TraceResult:
 
 def h_matrix_element(z, zp, hp, k):
     """<z|H|z'> through the overlap series."""
-    x = np.conj(_vector("z", z, hp.n)) * _vector("zp", zp, hp.n)
+    x = _overlap_argument(_vector("z", z, hp.n), _vector("zp", zp, hp.n))
     fk = f_series(k, x)
     fk1 = f_series(k + 1.0, x)
     return k * hp.c[-1] * fk + (1.0 / k) * np.sum(hp.mu * x) * fk1
@@ -403,16 +403,12 @@ def transfer_eigenvalues(hp, k, cutoff, step, weights):
     if weights == "linear":
         return 1.0 - step * energies(hp, k, space)
     table = _conv_table(hp.n, cutoff)
-    mu = hp.mu
     fk = coefficients(space) ** 2
     fk1 = coefficients(replace(space, k=k + 1.0)) ** 2
-    # num = sum_a mu_a x_a F_N(K+1; x): x_a shifts each coefficient up along mode a
-    inner = space.deg < cutoff
-    num = np.zeros(space.dim)
-    for a in range(hp.n):
-        child = space.occ[inner]
-        child[:, a] += 1
-        num[space.rank(child)] += mu[a] * fk1[inner]
+    # num = F_N(K+1; x) sum_a mu_a x_a; fk1 first sums each target in mode order
+    mu_x = np.zeros(space.dim)
+    mu_x[space.deg == 1] = space.occ[space.deg == 1] @ hp.mu
+    num = _series_mul(fk1, mu_x, table)
     exponent = -step * ((1.0 / k) * _series_div(num, fk, table, space.deg))
     exponent[0] = exponent[0] - step * k * hp.c[-1]
     w = _series_mul(fk, _series_exp(exponent, table, space.deg), table)

@@ -4,7 +4,10 @@ Every routine here reaches its answer by a route disjoint from the library
 code: high-precision mpmath series and integral representations, brute-force
 multi-index sums, and numerical Taylor coefficients.  The unit tests freeze
 the resulting digits as literals; these functions record where the digits
-came from and let anyone re-derive them.
+came from and let anyone re-derive them.  A few routines instead keep a
+plain or branch-by-branch form of a library kernel that the kernel must
+match bit for bit (`shell_sum_reference`, `generator_matrix_reference`,
+`transfer_exp_reference`).
 """
 
 import mpmath as mp
@@ -115,6 +118,60 @@ def shell_sum_reference(k, s, tol, max_shells, weights=None):
     if not converged:
         raise ConvergenceError(f"F series did not converge within {max_shells} shells")
     return total
+
+
+def generator_matrix_reference(space, alpha, beta):
+    """E_{alpha beta} on a bgcs.fock truncated space, one branch per
+    generator class (lowering, raising, E_{N+1,N+1}, E_{aa}, E_{ab}): the
+    five formulas of the bgcs.fock docstring that fock.generator_matrix
+    must match bit for bit, sign bits included."""
+    n, k, occ, deg = space.n, space.k, space.occ, space.deg
+    last = n + 1
+    cols = np.arange(space.dim)
+    if alpha == last and beta == last:
+        vals = k + deg
+    elif alpha == last:  # lowering operator E_{N+1, beta}
+        cols = cols[occ[:, beta - 1] >= 1]
+        vals = np.sqrt(occ[cols, beta - 1] * (k - 1.0 + deg[cols]))
+    elif beta == last:  # raising operator E_{alpha, N+1}
+        cols = cols[deg <= space.cutoff - 1]
+        vals = np.sqrt((occ[cols, alpha - 1] + 1) * (k + deg[cols]))
+    elif alpha == beta:
+        vals = occ[:, alpha - 1].astype(float)
+    else:
+        cols = cols[occ[:, beta - 1] >= 1]
+        vals = np.sqrt(occ[cols, beta - 1] * (occ[cols, alpha - 1] + 1))
+    target = occ[cols]
+    if beta != last:
+        target[:, beta - 1] -= 1
+    if alpha != last:
+        target[:, alpha - 1] += 1
+    mat = np.zeros((space.dim, space.dim))
+    mat[space.rank(target), cols] = vals
+    return mat
+
+
+def transfer_exp_reference(hp, k, cutoff, step):
+    """bgcs.pathint.transfer_eigenvalues with exp weights, its numerator
+    sum_a mu_a x_a F_N(K+1; x) built by shifting each coefficient up along
+    mode a, one mode at a time in the order a = 1..N, so each target sums
+    its terms in that order."""
+    from bgcs import coherent, fock, pathint
+
+    space = fock.rep_space(hp.n, k, cutoff)
+    table = pathint._conv_table(hp.n, cutoff)
+    fk = coherent.coefficients(space) ** 2
+    fk1 = coherent.coefficients(fock.rep_space(hp.n, k + 1.0, cutoff)) ** 2
+    inner = space.deg < cutoff
+    num = np.zeros(space.dim)
+    for a in range(hp.n):
+        child = space.occ[inner]
+        child[:, a] += 1
+        num[space.rank(child)] += hp.mu[a] * fk1[inner]
+    exponent = -step * ((1.0 / k) * pathint._series_div(num, fk, table, space.deg))
+    exponent[0] = exponent[0] - step * k * hp.c[-1]
+    w = pathint._series_mul(fk, pathint._series_exp(exponent, table, space.deg), table)
+    return w / fk
 
 
 def radial_moment(n, k, occupations):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from bgcs import fock
 
 
@@ -75,6 +76,22 @@ def test_generator_amplitudes_by_hand():
     assert entry(number1, (2, 1), (2, 1)) == pytest.approx(2.0)
     last = fock.generator_matrix(space, 3, 3)
     assert entry(last, (1, 1), (1, 1)) == pytest.approx(k + 2.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_generator_matrix_keeps_the_five_branch_bits(n):
+    """The one bilinear rule c_alpha d_beta reproduces, byte for byte and
+    sign bits included, the five per-class formulas of the module docstring
+    (tests/oracles.py generator_matrix_reference), for K below and above 1
+    and at every (alpha, beta)."""
+    for k in (0.05, 0.3, 0.5, 1.0, 1.7, 3.3, 11.1):
+        for cutoff in range(7):
+            space = fock.rep_space(n, k, cutoff)
+            for alpha in range(1, n + 2):
+                for beta in range(1, n + 2):
+                    got = fock.generator_matrix(space, alpha, beta)
+                    want = oracles.generator_matrix_reference(space, alpha, beta)
+                    assert got.tobytes() == want.tobytes(), (k, cutoff, alpha, beta)
 
 
 def test_raising_annihilates_at_cutoff():

@@ -601,6 +601,16 @@ def test_resolution_montecarlo_keeps_its_bits(n, k, cutoff, budget, max_dev, max
     assert (res.max_dev, res.max_z) == (max_dev, max_z)
 
 
+def test_resolution_montecarlo_scores_no_constant_entry():
+    """Every sample adds exactly 1 to the constant monomial's (0, 0) Gram
+    entry, so that entry has no variance.  Dividing by 250001 rounds it to
+    1 - 1.1e-16, which against the 1e-300 variance floor would read as a
+    z-score of 5.6e136; max_z skips it."""
+    res = measure.resolution_check(measure.MeasureModel(1, 0.75), 5, mode="montecarlo",
+                                   budget=250_001, seed=9)
+    assert res.max_z < 4.0
+
+
 def test_resolution_unknown_mode():
     with pytest.raises(ValueError):
         measure.resolution_check(measure.MeasureModel(1, 1.0), 3, mode="exactly")

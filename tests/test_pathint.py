@@ -65,6 +65,29 @@ def test_matrix_element_vs_operator_sandwich():
     assert complex(closed) == pytest.approx(complex(sandwich), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_matrix_element_diagonal_is_real(n):
+    """<z|H|z> is real: x_a = |z_a|^2 is formed from real and imaginary
+    parts, as in coherent.inner_product, so no rounding residue of
+    conj(z) * z leaves a stray imaginary part.  Off the diagonal the
+    closed form keeps the bits of x_a = conj(z_a) z'_a."""
+    hp = pathint.HamiltonianParams.from_mu(np.linspace(0.5, 2.0, n).tolist(), c_last=0.3)
+    k = 1.5
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        z, zp = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        diag = pathint.h_matrix_element(z, z, hp, k)
+        assert not np.iscomplexobj(diag)
+        x = np.abs(z) ** 2
+        assert diag == pytest.approx(k * hp.c[-1] * coherent.f_series(k, x)
+                                     + np.sum(hp.mu * x) * coherent.f_series(k + 1.0, x) / k,
+                                     rel=1e-14)
+        x = np.conj(z) * zp
+        off = k * hp.c[-1] * coherent.f_series(k, x) + (
+            (1.0 / k) * np.sum(hp.mu * x) * coherent.f_series(k + 1.0, x))
+        assert pathint.h_matrix_element(z, zp, hp, k) == off
+
+
 @pytest.mark.parametrize("k", [1.0, 2.5])
 @pytest.mark.parametrize("x", [0.0, 0.3, 1.0, 7.5])
 def test_ratio_exponent_bessel_vs_series(k, x):
@@ -293,6 +316,20 @@ def test_transfer_exp_frozen_eigenvalues():
     hp = pathint.HamiltonianParams.from_mu([1.0])
     lam = pathint.transfer_eigenvalues(hp, 1.0, 4, 1.0 / 64.0, "exp")
     assert lam == pytest.approx(LAM_EXP_K1, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_transfer_exp_keeps_the_mode_loop_bits(n):
+    """The numerator sum_a mu_a x_a F_N(K+1; x) taken as one series product
+    keeps the bits of the mode-by-mode shift loop (tests/oracles.py
+    transfer_exp_reference) at every cutoff."""
+    rng = np.random.default_rng(n)
+    for k in (0.3, 0.75, 1.0, 2.5, 6.0):
+        for cutoff in range(7):
+            hp = pathint.HamiltonianParams.from_mu(rng.uniform(-1.0, 3.0, n).tolist(), c_last=0.2)
+            got = pathint.transfer_eigenvalues(hp, k, cutoff, 0.05, "exp")
+            want = oracles.transfer_exp_reference(hp, k, cutoff, 0.05)
+            assert got.tobytes() == want.tobytes(), (k, cutoff)
 
 
 def test_transfer_exp_equal_couplings_reduce_to_one_mode():
