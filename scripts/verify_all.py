@@ -3,9 +3,9 @@
 
 Covers the series/Bessel reduction, the generator algebra and subsidiary
 condition, the coherent-state eigen property, the radial moment identity,
-the resolution of unity, both closed-form integral formulas, and the
-kernel vs spectral trace. Exits 0 if every check lands inside its
-tolerance, 2 otherwise.
+the resolution of unity, both closed-form integral formulas, the kernel
+vs spectral trace, and the sliced trace vs its reference. Exits 0 if
+every check lands inside its tolerance, 2 otherwise.
 
 Usage:
     python scripts/verify_all.py              # default grids, quiet-ish
@@ -110,6 +110,14 @@ def check_trace(args):
     return worst, 1e-6
 
 
+def check_sliced(args):
+    """Criterion 9's M = 64 linear-weight trace against pathint.trace_reference."""
+    hp = pathint.HamiltonianParams.from_mu([1.0])
+    config = pathint.TraceConfig(horizon=1.0, slices=64, cutoff=40, weights="linear")
+    reference, _ = pathint.trace_reference(hp, 1.0, config)
+    return abs(pathint.sliced_trace(hp, 1.0, config).value - reference) / abs(reference), 1e-2
+
+
 CHECKS = [
     ("series/Bessel reduction", check_bessel),
     ("generator algebra + subsidiary", check_algebra),
@@ -118,6 +126,7 @@ CHECKS = [
     ("resolution of unity", check_resolution),
     ("integral formulas A and B", check_formulas),
     ("kernel vs spectral trace", check_trace),
+    ("sliced trace vs spectral trace", check_sliced),
 ]
 
 

@@ -17,12 +17,9 @@ import io
 import json
 import os
 import sys
-from dataclasses import replace
 from functools import lru_cache
 
-import numpy as np
-
-from . import coherent, fock, mc, measure, pathint
+from . import coherent, mc, measure, pathint
 from .specfun import ConvergenceError, _finite, _integer, _positive, _vector
 
 _EXIT_OK = 0
@@ -222,38 +219,19 @@ def _cmd_trace(args):
         seed=_resolve_seed(args), workers=args.workers,
     )
     result = pathint.sliced_trace(hp, args.k, config)
+    reference, bound = pathint.trace_reference(hp, args.k, config)
     report = result.as_dict()
     report["check"] = "trace"
-
-    if args.backend == "matrix":
-        # reference: the spectral trace (exact when available, else truncated)
-        if args.mode == "imaginary":
-            try:
-                reference = complex(pathint.exact_spectral_trace(hp, args.k, horizon))
-            except ValueError:
-                reference = complex(
-                    pathint.exact_spectral_trace(hp, args.k, horizon, cutoff=args.cutoff))
-        else:
-            space = fock.rep_space(hp.n, args.k, args.cutoff)
-            levels = pathint.energies(hp, args.k, space)
-            reference = complex(np.sum(np.exp(-1j * horizon * levels)))
-        report["reference"] = reference.real
+    if reference is None:  # montecarlo without a cutoff: an estimate, not a check
+        return report, _EXIT_OK
+    report["reference"] = reference.real
+    gap = abs(complex(result.value) - reference)
+    if bound is None:  # matrix: relative error against the spectral trace
         if reference.imag != 0.0:
             report["reference_im"] = reference.imag
-        report["rel_err"] = rel = abs(complex(result.value) - reference) / abs(reference)
+        report["rel_err"] = rel = gap / abs(reference)
         return _gate(report, "tol", args.tol, rel <= args.tol)
-
-    # montecarlo estimates the sliced integral itself, so the reference is
-    # the transfer-spectrum value at the same weights, and the agreement
-    # band is the series truncation bound (next-shell term) plus zmax sigma
-    if args.cutoff is None:
-        return report, _EXIT_OK
-    mat = pathint.sliced_trace(hp, args.k, replace(config, backend="matrix"))
-    space = fock.rep_space(hp.n, args.k, args.cutoff + 1)
-    lam = pathint.transfer_eigenvalues(hp, args.k, args.cutoff + 1, config.step, weights)
-    bound = float(sum(np.abs(lam[space.deg == args.cutoff + 1]) ** args.m))
-    gap = abs(complex(result.value) - complex(mat.value))
-    report["reference"] = complex(mat.value).real
+    # montecarlo: within the series truncation bound plus zmax sigma
     report["series_bound"] = bound
     report["gap"] = gap
     return _gate(report, "zmax", args.zmax, gap <= bound + args.zmax * result.error)

@@ -488,3 +488,23 @@ def sliced_trace(hp, k, config):
                   workers=int(config.workers), nonfinite_count=int(nonfinite),
                   variance_warning=not safe, max_fraction=acc.max_fraction)
     return TraceResult(acc.mean, acc.sem, params)
+
+
+def trace_reference(hp, k, config):
+    """(reference, bound) for sliced_trace(hp, k, config).  matrix: the spectral
+    trace, bound None; imaginary time takes the closed product when all mu > 0
+    (it diverges otherwise), else the cutoff-basis sum, as real time does.
+    montecarlo: the matrix value at the same weights and the series truncation
+    bound sum |lambda_p|^M over |p| = cutoff + 1; (None, None) without a cutoff."""
+    if config.backend == "matrix":
+        if config.mode == "real":
+            levels = energies(hp, k, fock.rep_space(hp.n, k, config.cutoff))
+            return complex(np.sum(np.exp(-1j * config.horizon * levels))), None
+        cutoff = None if np.all(hp.mu > 0.0) else config.cutoff
+        return complex(exact_spectral_trace(hp, k, config.horizon, cutoff=cutoff)), None
+    if config.cutoff is None:
+        return None, None
+    value = complex(sliced_trace(hp, k, replace(config, backend="matrix")).value)
+    deg = fock.rep_space(hp.n, k, config.cutoff + 1).deg
+    lam = transfer_eigenvalues(hp, k, config.cutoff + 1, config.step, config.weights)
+    return value, float(sum(np.abs(lam[deg == config.cutoff + 1]) ** config.slices))

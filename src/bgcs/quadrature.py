@@ -60,17 +60,27 @@ def _refine_trapezoid(g, lo, hi, tol, n0):
     Endpoint values are assumed negligible (the callers build windows on
     which the integrand has already dropped by ~e^-45 from its peak).
     Converges once two consecutive changes are within tol * |value|.
-    Returns (value, last change, evaluations); raises ConvergenceError
-    after _REFINE_LEVELS halvings.
+    Returns (value, last change, evaluations); raises OverflowError as soon
+    as a level's sum leaves double range, and ConvergenceError after
+    _REFINE_LEVELS halvings, so also on a NaN.
     """
+
+    def evaluate(x):
+        with np.errstate(over="ignore"):  # out of range raises below
+            vals = g(x)
+            total = np.sum(vals)
+        if np.isinf(total):
+            raise OverflowError(f"trapezoid integral on [{lo}, {hi}] exceeds double range")
+        return vals, total
+
     h = (hi - lo) / n0
-    vals = g(lo + h * np.arange(n0 + 1))
-    total = h * (np.sum(vals) - 0.5 * (vals[0] + vals[-1]))
+    vals, total = evaluate(lo + h * np.arange(n0 + 1))
+    total = h * (total - 0.5 * (vals[0] + vals[-1]))
     evals = vals.size
     converged = 0
     for level in range(_REFINE_LEVELS):
         mid = lo + h * (np.arange(n0 << level) + 0.5)
-        new_total = 0.5 * total + 0.5 * h * np.sum(g(mid))
+        new_total = 0.5 * total + 0.5 * h * evaluate(mid)[1]
         evals += mid.size
         h *= 0.5
         change = abs(new_total - total)

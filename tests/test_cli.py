@@ -84,6 +84,21 @@ def test_trace_montecarlo_without_cutoff_has_no_reference(capsys):
     assert report["backend"] == "montecarlo" and report["budget"] == 2000
 
 
+@pytest.mark.parametrize("argv", [
+    ["measure-check", "--n", "1", "--k", "300", "--occ", "5"],
+    ["formula-b", "--mu", "400", "--nu", "0", "--a", "1"],
+    ["formula-a", "--n", "1", "--k", "200", "--s", "0"],
+    ["rou", "--n", "1", "--k", "300", "--cutoff", "2"],
+])
+def test_integrals_past_double_range_exit_1(argv, capsys):
+    """A half-line integral out of double range is a domain error: exit 1,
+    one line on stderr, no report and no RuntimeWarning."""
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"bgcs {argv[0]}: trapezoid integral on [")
+    assert err.endswith("] exceeds double range\n")
+
+
 def test_csv_flattens_list_parameters(capsys):
     code, out, _ = run(["eval-f", "--k", "1.5", "--w", "0.3,0.5+0.2j", "--format", "csv"],
                        capsys)

@@ -298,6 +298,19 @@ def test_formula_b_where_k_leaves_double_range(mu, nu, a, x_min):
     assert measure.verify_formula_b(mu, nu, a).rel_err <= 1e-13
 
 
+@pytest.mark.parametrize("call", [
+    lambda: measure.moment_check(measure.MeasureModel(1, 300.0), (5,)),
+    lambda: measure.verify_formula_b(400.0, 0.0, 1.0),
+    lambda: measure.verify_formula_a(1, 200.0, [0.0]),
+], ids=["moment", "formula-b", "formula-a"])
+def test_halfline_integral_past_double_range_is_an_overflow_error(call):
+    """A half-line integral whose value leaves double range raises
+    OverflowError at its first level, with no overflow warning, where it
+    used to run all eight halvings and stall on a NaN change."""
+    with pytest.raises(OverflowError, match=r"^trapezoid integral on \[.*\] exceeds double range$"):
+        call()
+
+
 @pytest.mark.parametrize("mu,nu,a", [(0.05, 0.01, 1.0), (0.07, 0.0, 0.5), (0.045, -0.002, 2.0)])
 def test_formula_b_small_order_near_the_origin(mu, nu, a):
     """mu - |nu| is near 0.04, so the half-line nodes pass through the

@@ -3,6 +3,7 @@ transfer spectrum in both weight forms, stability guards, and the Monte
 Carlo backend inside and outside its safe window."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -490,6 +491,62 @@ def test_sliced_montecarlo_multi_slice_reports_heavy_tails():
     assert res.params["variance_warning"] is True
     assert "nonfinite_count" in res.params
     assert 0.0 <= res.params["max_fraction"] <= 1.0
+
+
+def test_trace_reference_matrix_imaginary_takes_the_closed_product():
+    """Every mu > 0: the untruncated product, whatever the cutoff."""
+    config = pathint.TraceConfig(horizon=1.0, slices=64, cutoff=3)
+    assert pathint.trace_reference(HP1, 1.0, config) == (
+        complex(pathint.exact_spectral_trace(HP1, 1.0, 1.0)), None)
+    assert pathint.trace_reference(HP1, 1.0, config)[0] == pytest.approx(Z_BETA_1, rel=1e-13)
+
+
+@pytest.mark.parametrize("mu,cutoff,expected", [
+    ([0.0], 20, 21.0),  # all 21 levels of the N = 1 basis sit at 0
+    ([1.0, -0.5], 3, None),
+])
+def test_trace_reference_matrix_imaginary_falls_back_to_the_cutoff(mu, cutoff, expected):
+    """A mu <= 0 makes the closed product diverge, so the reference is the
+    sum over the cutoff basis."""
+    hp = pathint.HamiltonianParams.from_mu(mu)
+    config = pathint.TraceConfig(horizon=1.0, slices=64, cutoff=cutoff)
+    reference, bound = pathint.trace_reference(hp, 1.0, config)
+    truncated = pathint.exact_spectral_trace(hp, 1.0, 1.0, cutoff=cutoff)
+    assert (reference, bound) == (complex(truncated), None)
+    if expected is not None:
+        assert reference == expected
+
+
+def test_trace_reference_matrix_real_sums_the_cutoff_basis():
+    config = pathint.TraceConfig(mode="real", horizon=0.1, slices=64, cutoff=20)
+    reference, bound = pathint.trace_reference(HP1, 1.0, config)
+    assert bound is None
+    assert reference == pytest.approx(sum(np.exp(-0.1j * n) for n in range(21)), rel=1e-13)
+
+
+@pytest.mark.parametrize("n,k,mu,mode,horizon,slices,cutoff", [
+    (1, 10.0, [1.2], "imaginary", 1.0, 1, 6),
+    (2, 1.5, [1.0, 1.6], "real", 0.5, 4, 2),
+])
+def test_trace_reference_montecarlo_is_the_matrix_value_and_next_degree(
+        n, k, mu, mode, horizon, slices, cutoff):
+    """The Monte Carlo reference keeps the bits of the matrix-backend value
+    at the same weights, and its bound those of sum |lambda_p|^M over the
+    degree cutoff + 1 of the transfer spectrum."""
+    hp = pathint.HamiltonianParams.from_mu(mu)
+    config = pathint.TraceConfig(mode=mode, horizon=horizon, slices=slices, cutoff=cutoff,
+                                 weights="exp", backend="montecarlo", budget=10)
+    reference, bound = pathint.trace_reference(hp, k, config)
+    mat = pathint.sliced_trace(hp, k, replace(config, backend="matrix"))
+    space = fock.rep_space(n, k, cutoff + 1)
+    lam = pathint.transfer_eigenvalues(hp, k, cutoff + 1, config.step, "exp")
+    assert reference == complex(mat.value)
+    assert bound == float(sum(np.abs(lam[space.deg == cutoff + 1]) ** slices))
+
+
+def test_trace_reference_montecarlo_without_cutoff_is_none():
+    config = pathint.TraceConfig(slices=8, weights="exp", backend="montecarlo", budget=10)
+    assert pathint.trace_reference(HP1, 1.0, config) == (None, None)
 
 
 def test_trace_result_serialization():

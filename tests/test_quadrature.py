@@ -45,6 +45,21 @@ def test_refiner_names_the_window_that_stalls():
         quadrature._refine_trapezoid(lambda t: np.abs(np.sin(40.0 * t)), -1.0, 2.0, 1e-14, n0=4)
 
 
+@pytest.mark.parametrize("g", [
+    lambda t: np.exp(800.0 * t),  # the nodes themselves overflow
+    lambda t: np.full(t.shape, 1e308),  # finite nodes, an infinite sum
+], ids=["node", "sum"])
+def test_refiner_raises_overflow_error_out_of_double_range(g):
+    with pytest.raises(OverflowError,
+                       match=r"^trapezoid integral on \[-1\.0, 2\.0\] exceeds double range$"):
+        quadrature._refine_trapezoid(g, -1.0, 2.0, 1e-12, n0=4)
+
+
+def test_refiner_stalls_on_a_nan():
+    with pytest.raises(quadrature.ConvergenceError, match=r"\(last change nan\)$"):
+        quadrature._refine_trapezoid(lambda t: np.full(t.shape, np.nan), -1.0, 2.0, 1e-12, n0=4)
+
+
 def test_refiner_places_each_mid_node_once():
     """Level l adds the nodes lo + (i + 1/2) h / 2^l, each within one
     rounding of its exact place.  Accumulating the spacing as np.arange
