@@ -4,8 +4,10 @@
 Covers the series/Bessel reduction, the generator algebra and subsidiary
 condition, the coherent-state eigen property, the radial moment identity,
 the resolution of unity, both closed-form integral formulas, the kernel
-vs spectral trace, and the sliced trace vs its reference. Exits 0 if
-every check lands inside its tolerance, 2 otherwise.
+vs spectral trace, the sliced trace vs its reference, the closed-form
+<z|H|z'> vs the finite section of H, the amplitude recursion vs the
+closed-form amplitudes, and the N = 1 slice exponent in Bessel vs series
+form. Exits 0 if every check lands inside its tolerance, 2 otherwise.
 
 Usage:
     python scripts/verify_all.py              # default grids, quiet-ish
@@ -118,6 +120,47 @@ def check_sliced(args):
     return abs(pathint.sliced_trace(hp, 1.0, config).value - reference) / abs(reference), 1e-2
 
 
+def check_h_section(args):
+    """<z|H|z'> in closed form against <z| h_operator |z'> on a truncated space."""
+    rng = np.random.default_rng(args.seed)
+    worst = 0.0
+    for n, cutoff in [(1, 24), (2, 14), (3, 10)][: args.n_max]:
+        hp = pathint.HamiltonianParams.from_mu([1.0 + 0.6 * a for a in range(n)], c_last=0.3)
+        for k in (0.5, 1.0, 2.5):
+            space = fock.rep_space(n, k, cutoff)
+            h = pathint.h_operator(hp, k, space)
+            for _ in range(max(1, args.labels // 20)):
+                z, zp = rng.normal(scale=0.35, size=(2, n)) + 1j * rng.normal(scale=0.35, size=(2, n))
+                exact = pathint.h_matrix_element(z, zp, hp, k)
+                section = np.vdot(coherent.state_vector(z, space),
+                                  h @ coherent.state_vector(zp, space))
+                worst = max(worst, abs(section - exact) / abs(exact))
+    return worst, 1e-12
+
+
+def check_recursion(args):
+    """Amplitudes by the one-step recursion against the closed form, per entry."""
+    worst = 0.0
+    for n in range(1, args.n_max + 1):
+        for k in (0.5, 1.0, 2.5, float(n + 2)):
+            space = fock.rep_space(n, k, args.cutoff)
+            closed = coherent.coefficients(space)
+            gap = np.abs(coherent.coefficients_by_recursion(space) - closed) / closed
+            worst = max(worst, float(np.max(gap)))
+    return worst, 1e-13
+
+
+def check_slice_exponent(args):
+    """N = 1 slice exponent, Bessel form against x F(K+1; x) / (K F(K; x))."""
+    worst = 0.0
+    for k in (1.0, 1.5, 2.5, 5.0):
+        for x in (0.0, 0.05, 0.3, 1.0, 3.7, 9.0, 25.0):
+            series = x * coherent.f_series(k + 1.0, [x]) / (k * coherent.f_series(k, [x]))
+            bessel = pathint.ratio_exponent_n1(k, 1.0, x)
+            worst = max(worst, abs(bessel - series) / max(abs(series), 1.0))
+    return worst, 1e-12
+
+
 CHECKS = [
     ("series/Bessel reduction", check_bessel),
     ("generator algebra + subsidiary", check_algebra),
@@ -127,6 +170,9 @@ CHECKS = [
     ("integral formulas A and B", check_formulas),
     ("kernel vs spectral trace", check_trace),
     ("sliced trace vs spectral trace", check_sliced),
+    ("H matrix element vs finite section", check_h_section),
+    ("amplitude recursion vs closed form", check_recursion),
+    ("slice exponent, Bessel vs series (N = 1)", check_slice_exponent),
 ]
 
 
@@ -134,7 +180,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n-max", type=int, default=3, help="largest N (default 3)")
     parser.add_argument("--cutoff", type=int, default=6,
-                        help="truncation degree for algebra/eigen checks (default 6)")
+                        help="truncation degree for algebra/eigen/amplitude checks (default 6)")
     parser.add_argument("--deg-max", type=int, default=4,
                         help="largest per-mode moment degree (default 4)")
     parser.add_argument("--labels", type=int, default=100,
@@ -148,7 +194,7 @@ def main(argv=None):
         worst, tol = fn(args)
         ok = worst <= tol
         failures += not ok
-        print(f"{'ok  ' if ok else 'FAIL'} {name:34s} worst {worst:10.3e}"
+        print(f"{'ok  ' if ok else 'FAIL'} {name:40s} worst {worst:10.3e}"
               f"  tol {tol:.0e}  ({time.monotonic() - t0:.1f}s)")
     return 2 if failures else 0
 

@@ -9,9 +9,7 @@ from .coherent import coefficient, eigen_residual, f_series, inner_product, stat
 from .fock import (
     TruncatedRepSpace,
     commutator_residual,
-    dump_triplets,
     generator_matrix,
-    load_triplets,
     rep_space,
     subsidiary_residual,
 )

@@ -225,10 +225,10 @@ def _cmd_trace(args):
     if reference is None:  # montecarlo without a cutoff: an estimate, not a check
         return report, _EXIT_OK
     report["reference"] = reference.real
+    if reference.imag != 0.0:
+        report["reference_im"] = reference.imag
     gap = abs(complex(result.value) - reference)
     if bound is None:  # matrix: relative error against the spectral trace
-        if reference.imag != 0.0:
-            report["reference_im"] = reference.imag
         report["rel_err"] = rel = gap / abs(reference)
         return _gate(report, "tol", args.tol, rel <= args.tol)
     # montecarlo: within the series truncation bound plus zmax sigma

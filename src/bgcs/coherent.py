@@ -12,7 +12,7 @@ relation
 
     C_{n + e_a} sqrt(n_a + 1) sqrt(K + |n|) = C_n,
 
-which is exercised against the closed form in the tests.
+which scripts/verify_all.py checks against the closed form.
 
 Overlaps reduce to the entire series
 
@@ -74,8 +74,8 @@ def coefficients(space):
 
 def coefficients_by_recursion(space):
     """All amplitudes on a truncated space built by repeated application of
-    the one-step relation, starting from C_0 = 1.  Dual route to
-    ``coefficient`` for testing; production code uses the closed form."""
+    the one-step relation, starting from C_0 = 1.  Second route to
+    ``coefficients`` for the verification sweep; the rest uses the closed form."""
     k = space.k
     coeffs = np.zeros(space.dim)
     coeffs[0] = 1.0

@@ -26,10 +26,7 @@ lexicographically, and maps occupation rows back to basis indices by the
 combinatorial number system.  Raising generators silently annihilate
 components that would leave the truncated space; consistency checks
 therefore restrict to interior states (degree at most cutoff - 2 for
-products of two generators).
-
-Matrices are dense ndarrays; a plain-text triplet dump of the nonzero
-entries ("row col re im" per line) is provided for interchange.
+products of two generators).  Matrices are dense ndarrays.
 """
 
 from __future__ import annotations
@@ -167,30 +164,3 @@ def subsidiary_residual(space):
     resid = total - space.k * np.eye(space.dim)
     return float(np.max(np.abs(resid)))
 
-
-def dump_triplets(op, stream):
-    """Write the nonzero entries of a matrix as 'row col re im' lines
-    (row-major order)."""
-    op = np.asarray(op)
-    for row, col in zip(*np.nonzero(op)):
-        v = complex(op[row, col])
-        stream.write(f"{row} {col} {v.real!r} {v.imag!r}\n")
-
-
-def load_triplets(stream, shape):
-    """Inverse of dump_triplets."""
-    rows, cols, vals = [], [], []
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
-        r, c, re, im = line.split()
-        rows.append(int(r))
-        cols.append(int(c))
-        vals.append(float(re) + 1j * float(im))
-    data = np.array(vals, dtype=complex)
-    if np.all(data.imag == 0.0):
-        data = data.real
-    mat = np.zeros(shape, dtype=data.dtype)
-    mat[rows, cols] = data
-    return mat

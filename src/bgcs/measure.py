@@ -113,15 +113,6 @@ def _log_radius_density(model, log_r):
     return log_norm + (0.5 * (model.k + model.n) - 1.0) * log_r + log_k
 
 
-def total_radius_density(model, big_r):
-    """Density of R = sum r_a under dmu (vectorized over big_r), the exp of
-    _log_radius_density."""
-    big_r = np.atleast_1d(np.asarray(big_r, dtype=float))
-    if np.any(big_r <= 0.0):
-        raise ValueError("need R > 0")
-    return np.exp(_log_radius_density(model, np.log(big_r)))
-
-
 def radial_cdf(model, q):
     """P(R <= q) under dmu to QUAD_TOL, by tanh-sinh integration of the R
     density in log R.  The density behaves like R^(min(K, N) - 1) at the

@@ -194,8 +194,9 @@ def energies(hp, k, space):
 
 
 def exact_spectral_trace(hp, k, beta, cutoff=None):
-    """Tr exp(-beta H): closed product over modes when cutoff is None,
-    otherwise the finite sum over the truncated basis."""
+    """Tr exp(-beta H): closed product over modes when cutoff is None
+    (OverflowError where it leaves double range), otherwise the finite sum
+    over the truncated basis."""
     k, beta = _positive("k", k), _positive("beta", beta)
     mu = hp.mu
     if cutoff is None:
@@ -203,7 +204,10 @@ def exact_spectral_trace(hp, k, beta, cutoff=None):
             raise ValueError(f"untruncated trace diverges unless all mu > 0, got {mu.tolist()}")
         value = math.exp(-beta * k * hp.c[-1])
         for m in mu:
-            value /= -math.expm1(-beta * m)
+            denom = -math.expm1(-beta * m)  # 0 where beta * mu underflows
+            value = value / denom if denom else math.inf
+        if not math.isfinite(value):
+            raise OverflowError(f"untruncated spectral trace exceeds double range at beta={beta}")
         return value
     space = fock.rep_space(hp.n, k, cutoff)
     return float(np.sum(np.exp(-beta * energies(hp, k, space))))

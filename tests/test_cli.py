@@ -84,6 +84,33 @@ def test_trace_montecarlo_without_cutoff_has_no_reference(capsys):
     assert report["backend"] == "montecarlo" and report["budget"] == 2000
 
 
+def test_trace_real_time_montecarlo_reference_keeps_its_imaginary_part(capsys):
+    """The report holds the whole complex reference its gap is taken against,
+    as the matrix backend's does, so the gap can be read from the report."""
+    code, out, _ = run(["trace", "--n", "2", "--k", "1.5", "--mu", "1,1.6", "--t", "0.5",
+                        "--mode", "real", "--m", "4", "--backend", "montecarlo",
+                        "--cutoff", "2", "--budget", "3000"], capsys)
+    report = json.loads(out)
+    config = pathint.TraceConfig(mode="real", horizon=0.5, slices=4, cutoff=2, weights="exp",
+                                 backend="montecarlo", budget=3000, seed=DEFAULT_SEED)
+    expected, _ = pathint.trace_reference(pathint.HamiltonianParams.from_mu([1.0, 1.6]), 1.5,
+                                          config)
+    reference = complex(report["reference"], report["reference_im"])
+    assert reference == expected and expected.imag != 0.0
+    assert report["gap"] == abs(complex(report["value"], report["value_im"]) - reference)
+    assert code == 0
+
+
+@pytest.mark.parametrize("mu, beta", [("1e-200", "1e-200"), ("1e-150", "1e-160")])
+def test_trace_reference_past_double_range_exits_1(mu, beta, capsys):
+    """beta * mu = 1e-400 underflows to 0 and 1 / 1e-310 overflows: the closed
+    product leaves double range, so the run exits 1 with no report."""
+    code, out, err = run(["trace", "--n", "1", "--k", "1", "--mu", mu, "--beta", beta,
+                          "--m", "4", "--cutoff", "2"], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"bgcs trace: untruncated spectral trace exceeds double range at beta={beta}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["measure-check", "--n", "1", "--k", "300", "--occ", "5"],
     ["formula-b", "--mu", "400", "--nu", "0", "--a", "1"],

@@ -45,10 +45,8 @@ ROWS = {
     "commutator_residual": [(lambda first=1, second=2: fock.commutator_residual(
         SPACE, (first, 2), (second, 1)), {"first": ("generator indices", POSITIVE),
                                           "second": ("generator indices", POSITIVE)}, ("space",))],
-    "dump_triplets": [(lambda: None, {}, ("op", "stream"))],
     "generator_matrix": [(lambda alpha=1, beta=2: fock.generator_matrix(SPACE, alpha, beta),
                           {"alpha": ("alpha", POSITIVE), "beta": ("beta", POSITIVE)}, ("space",))],
-    "load_triplets": [(lambda: None, {}, ("stream", "shape"))],  # shape is numpy's to check
     "rep_space": [(lambda n=2, k=1.5, cutoff=2: fock.rep_space(n, k, cutoff),
                    {"n": ("n", POSITIVE), "k": ("k", POSITIVE), "cutoff": ("cutoff", AT_LEAST_0)},
                    ())],

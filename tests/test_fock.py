@@ -1,7 +1,6 @@
-"""Truncated representation spaces: basis layout, generator amplitudes,
-structure relations, and the triplet dump format."""
+"""Truncated representation spaces: basis layout, generator amplitudes
+and structure relations."""
 
-import io
 import math
 
 import numpy as np
@@ -136,39 +135,3 @@ def test_generator_index_domain():
         fock.generator_matrix(space, 0, 1)
     with pytest.raises(ValueError):
         fock.generator_matrix(space, 1, 3)
-
-
-def test_triplet_dump_roundtrip():
-    space = fock.rep_space(2, 0.75, 3)
-    op = fock.generator_matrix(space, 1, 3)
-    buf = io.StringIO()
-    fock.dump_triplets(op, buf)
-    text = buf.getvalue()
-    # format: one "row col re im" line per stored entry
-    lines = text.strip().splitlines()
-    assert len(lines) == np.count_nonzero(op)
-    assert all(len(line.split()) == 4 for line in lines)
-    back = fock.load_triplets(io.StringIO(text), op.shape)
-    assert np.max(np.abs(back - op)) == 0.0
-
-
-def test_triplet_roundtrip_complex():
-    mat = np.array([[0.0, 1.0 - 2.0j], [3.5j, 0.0]])
-    buf = io.StringIO()
-    fock.dump_triplets(mat, buf)
-    back = fock.load_triplets(io.StringIO(buf.getvalue()), (2, 2))
-    assert np.max(np.abs(back - mat)) == 0.0
-
-
-def test_triplet_dump_golden_bytes():
-    """The dump of E_{1,3} on the N=2, K=0.75, cutoff-3 space, byte for byte."""
-    buf = io.StringIO()
-    fock.dump_triplets(fock.generator_matrix(fock.rep_space(2, 0.75, 3), 1, 3), buf)
-    assert buf.getvalue() == (
-        "2 0 0.8660254037844386 0.0\n"
-        "4 1 1.3228756555322954 0.0\n"
-        "5 2 1.8708286933869707 0.0\n"
-        "7 3 1.6583123951777 0.0\n"
-        "8 4 2.345207879911715 0.0\n"
-        "9 5 2.8722813232690143 0.0\n"
-    )

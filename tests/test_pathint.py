@@ -286,6 +286,16 @@ def test_closed_spectral_trace_needs_finite_k(k, c_last):
         pathint.exact_spectral_trace(hp, k, 1.0)
 
 
+@pytest.mark.parametrize("mu, beta", [(1e-200, 1e-200), (1e-150, 1e-160)])
+def test_closed_spectral_trace_past_double_range_is_an_overflow_error(mu, beta):
+    """1 / (beta mu) leaves double range: beta * mu underflows to 0 (a zero
+    divisor) or is 1e-310 (an infinite quotient).  At 1e-305 it stays finite."""
+    with pytest.raises(OverflowError, match="^untruncated spectral trace exceeds double range"):
+        pathint.exact_spectral_trace(pathint.HamiltonianParams.from_mu([mu]), 1.0, beta)
+    inside = pathint.exact_spectral_trace(pathint.HamiltonianParams.from_mu([1e-150]), 1.0, 1e-155)
+    assert inside == pytest.approx(1e305, rel=1e-12)
+
+
 @pytest.mark.parametrize("mode, horizon", [("imaginary", math.inf), ("imaginary", math.nan),
                                            ("real", math.nan), ("real", -math.inf)])
 def test_trace_config_needs_a_finite_horizon(mode, horizon):
