@@ -6,7 +6,6 @@ to stdout or --out.  Exit status: 0 when all requested checks are within
 tolerance, 2 on a tolerance breach, 1 on usage or domain errors.  Reports
 contain no timestamps or machine state, and all randomness is derived from
 (seed, workers), so identical invocations produce byte-identical output.
-The default seed comes from the BGCS_SEED environment variable when set.
 """
 
 from __future__ import annotations
@@ -15,12 +14,12 @@ import argparse
 import csv
 import io
 import json
-import os
+import math
 import sys
 from functools import lru_cache
 
 from . import coherent, mc, measure, pathint
-from .specfun import ConvergenceError, _finite, _integer, _positive, _vector
+from .specfun import ConvergenceError, _integer, _positive, _vector
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -75,19 +74,12 @@ def _add_output(p):
 
 
 def _add_stochastic(p, budget):
-    p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed (default: BGCS_SEED env var, else %d)" % mc.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=mc.DEFAULT_SEED,
+                   help="RNG seed (default %(default)d)")
     p.add_argument("--workers", type=int, default=1,
                    help="independent RNG streams; results are deterministic per (seed, workers)")
     p.add_argument("--budget", type=int, default=budget,
                    help="sample budget (default %d)" % budget)
-
-
-def _resolve_seed(args):
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("BGCS_SEED")
-    return int(env) if env else mc.DEFAULT_SEED
 
 
 def _flatten(obj, prefix=""):
@@ -188,7 +180,7 @@ def _cmd_rou(args):
     model = measure.MeasureModel(args.n, args.k)
     result = measure.resolution_check(
         model, args.cutoff, mode=args.mode, budget=args.budget,
-        seed=_resolve_seed(args), workers=args.workers,
+        seed=args.seed, workers=args.workers,
     )
     if args.mode == "quadrature":
         return _gate(result.as_dict(), "tol", args.tol, result.max_dev <= args.tol)
@@ -198,25 +190,20 @@ def _cmd_rou(args):
 def _cmd_sample(args):
     model = measure.MeasureModel(args.n, args.k)
     report = measure.sampler_report(
-        model, args.budget, seed=_resolve_seed(args), workers=args.workers,
+        model, args.budget, seed=args.seed, workers=args.workers,
     )
     return _gate(report, "zmax", args.zmax, report["max_z"] <= args.zmax)
 
 
 def _cmd_trace(args):
-    needed, unused = ("beta", "t") if args.mode == "imaginary" else ("t", "beta")
-    horizon = getattr(args, needed)
-    if horizon is None:
-        raise ValueError(f"{args.mode}-time mode requires --{needed}")
-    if getattr(args, unused) is not None:  # not read in this mode, but must be a number
-        _finite(unused, getattr(args, unused))
     mu = _vector("mu", args.mu, _integer("n", args.n, 1), float)
     hp = pathint.HamiltonianParams.from_mu(mu, c_last=args.c_last)
     weights = args.weights or ("linear" if args.backend == "matrix" else "exp")
+    real = args.beta is None  # argparse lets exactly one of --beta and --t through
     config = pathint.TraceConfig(
-        mode=args.mode, horizon=horizon, slices=args.m, cutoff=args.cutoff,
-        weights=weights, backend=args.backend, budget=args.budget,
-        seed=_resolve_seed(args), workers=args.workers,
+        mode="real" if real else "imaginary", horizon=args.t if real else args.beta,
+        slices=args.m, cutoff=args.cutoff, weights=weights, backend=args.backend,
+        budget=args.budget, seed=args.seed, workers=args.workers,
     )
     result = pathint.sliced_trace(hp, args.k, config)
     reference, bound = pathint.trace_reference(hp, args.k, config)
@@ -231,16 +218,17 @@ def _cmd_trace(args):
     if bound is None:  # matrix: relative error against the spectral trace
         report["rel_err"] = rel = gap / abs(reference)
         return _gate(report, "tol", args.tol, rel <= args.tol)
-    # montecarlo: within the series truncation bound plus zmax sigma
+    # montecarlo: within the series truncation bound plus zmax sigma, for a finite sigma
     report["series_bound"] = bound
     report["gap"] = gap
-    return _gate(report, "zmax", args.zmax, gap <= bound + args.zmax * result.error)
+    return _gate(report, "zmax", args.zmax,
+                 math.isfinite(result.error) and gap <= bound + args.zmax * result.error)
 
 
 @lru_cache(maxsize=1)
 def build_parser():
     """The `bgcs` argument parser, built once per process: parsing leaves it
-    unchanged, and the default seed is read when a command runs."""
+    unchanged."""
     parser = _Parser(prog="bgcs", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -309,13 +297,12 @@ def build_parser():
     p.add_argument("--k", type=float, required=True, help="Bargmann index K > 0")
     p.add_argument("--mu", type=_float_list, required=True, help="level spacings, e.g. 1 or 1,2")
     p.add_argument("--c-last", type=float, default=0.0, help="additive coupling c_{N+1} (default %(default)g)")
-    p.add_argument("--beta", type=float, default=None, help="inverse temperature (imaginary mode)")
-    p.add_argument("--t", type=float, default=None, help="real-time horizon (real mode)")
+    horizon = p.add_mutually_exclusive_group(required=True)
+    horizon.add_argument("--beta", type=float, help="inverse temperature: imaginary time")
+    horizon.add_argument("--t", type=float, help="horizon T: real time, e^{-iTH}")
     p.add_argument("--m", type=int, required=True, help="number of time slices")
-    p.add_argument("--mode", choices=("imaginary", "real"), default="imaginary",
-                   help="time signature (default imaginary)")
     p.add_argument("--backend", choices=("matrix", "montecarlo"), default="matrix",
-                   help="transfer-spectrum sum or label-space sampling (default matrix)")
+                   help="transfer-spectrum sum or label-space sampling, --beta only (default matrix)")
     p.add_argument("--weights", choices=("linear", "exp"), default=None,
                    help="slice weight form (default: linear for matrix, exp for montecarlo)")
     p.add_argument("--cutoff", type=int, default=None, help="Fock truncation (matrix backend)")

@@ -298,14 +298,15 @@ FOURIER_MODES = (1, 2)  # angular modes m of the E[exp(i m theta_a)] = 0 rows
 
 def _check_row(quantity, estimate, expected, sem):
     """One sampler report row: the estimate and its distance from the
-    expected value in units of its standard error."""
+    expected value in units of its standard error (inf unless that error is
+    finite and > 0, so a row without one fails its gate)."""
     return {
         "quantity": quantity,
         "estimate_re": float(np.real(estimate)),
         "estimate_im": float(np.imag(estimate)),
         "expected": expected,
         "sem": sem,
-        "z_score": abs(estimate - expected) / sem if sem > 0 else math.inf,
+        "z_score": abs(estimate - expected) / sem if 0.0 < sem < math.inf else math.inf,
     }
 
 

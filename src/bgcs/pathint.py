@@ -49,11 +49,14 @@ M >= 2 (a slice argument reaches the negative axis at relative angle pi),
 where |w| has logarithmic tails and no finite moments: single samples can
 dominate any budget.  Results report nonfinite_count and max_fraction,
 and carry variance_warning except in the one provably safe window
-(imaginary time, M = 1, horizon * min mu > 1, where the loop argument
-stays on the positive diagonal).  Matrix and Monte Carlo backends agree
-only to the transfer series' own asymptotic accuracy (the first omitted
-|lambda| at optimal truncation), never to statistical error bars; the
-tests assert exactly that bound.
+(M = 1, horizon * min mu > 1, where the loop argument stays on the
+positive diagonal).  In real time the weight's modulus at M = 1 is
+F(K; R), which the measure does not beat (at N = 1 their product decays
+only like 1/(2 sqrt R)), so the integral diverges absolutely at every M
+and Monte Carlo mode refuses real time.  Matrix and Monte Carlo backends
+agree only to the transfer series' own asymptotic accuracy (the first
+omitted |lambda| at optimal truncation), never to statistical error
+bars; the tests assert exactly that bound.
 """
 
 from __future__ import annotations
@@ -460,6 +463,12 @@ def sliced_trace(hp, k, config):
             "montecarlo backend cannot use linear weights: the sliced product "
             "diverges on the untruncated space"
         )
+    if config.mode == "real":
+        raise ValueError(
+            "montecarlo backend cannot run in real time: the weight's modulus "
+            "(F(K; R) at M = 1) outgrows the measure, so the sliced integral "
+            "diverges absolutely"
+        )
     model = measure.MeasureModel(hp.n, k)
     mu = hp.mu
     m_slices = config.slices
@@ -469,7 +478,7 @@ def sliced_trace(hp, k, config):
                                cap=max(1, mc.CHUNK // m_slices)):
         r, theta = measure.draw_labels(model, chunk * m_slices, rng)
         z = (np.sqrt(r) * np.exp(1j * theta)).reshape(chunk, m_slices, hp.n)
-        x = np.conj(z) * np.roll(z, 1, axis=1)  # slice j against slice j-1
+        x = _overlap_argument(z, np.roll(z, 1, axis=1))  # slice j against slice j-1
         s = np.sum(x, axis=2)
         # Near zeros of the overlap series the exponent ratio blows up
         # with either sign (the essential singularities described in the
@@ -486,8 +495,7 @@ def sliced_trace(hp, k, config):
     # Finite variance requires staying off the singular set (M = 1, where the
     # loop argument is the positive diagonal) with horizon * mu beating the
     # overlap growth; everything else gets a standing warning.
-    safe = (config.mode == "imaginary" and m_slices == 1
-            and config.horizon * float(np.min(mu)) > 1.0)
+    safe = m_slices == 1 and config.horizon * float(np.min(mu)) > 1.0
     params.update(budget=int(config.budget), seed=int(config.seed),
                   workers=int(config.workers), nonfinite_count=int(nonfinite),
                   variance_warning=not safe, max_fraction=acc.max_fraction)

@@ -39,7 +39,7 @@ def test_formula_b_domain_error_example(capsys):
 
 def test_trace_matrix_example(capsys):
     code, out, _ = run(["trace", "--n", "1", "--k", "1", "--mu", "1", "--beta", "1",
-                        "--m", "64", "--mode", "imaginary", "--backend", "matrix",
+                        "--m", "64", "--backend", "matrix",
                         "--cutoff", "40"], capsys)
     assert code == 0
     report = json.loads(out)
@@ -52,7 +52,7 @@ def test_trace_real_time_matrix_reference(capsys):
     """Real time: the reference is sum_n exp(-i t n) over the 21 states of
     the N = 1 basis (mu = 1, c_last = 0), and its imaginary part is kept."""
     code, out, _ = run(["trace", "--n", "1", "--k", "1", "--mu", "1", "--t", "0.1",
-                        "--m", "64", "--mode", "real", "--backend", "matrix",
+                        "--m", "64", "--backend", "matrix",
                         "--cutoff", "20", "--tol", "0.05"], capsys)
     report = json.loads(out)
     expected = sum(cmath.exp(-0.1j * n) for n in range(21))
@@ -68,7 +68,7 @@ def test_trace_falls_back_to_the_truncated_reference(capsys):
     with pytest.raises(ValueError, match="diverges"):
         pathint.exact_spectral_trace(hp, 1.0, 1.0)
     code, out, _ = run(["trace", "--n", "1", "--k", "1", "--mu", "0", "--beta", "1",
-                        "--m", "64", "--mode", "imaginary", "--backend", "matrix",
+                        "--m", "64", "--backend", "matrix",
                         "--cutoff", "20"], capsys)
     report = json.loads(out)
     assert report["reference"] == 21.0 and "reference_im" not in report
@@ -84,21 +84,34 @@ def test_trace_montecarlo_without_cutoff_has_no_reference(capsys):
     assert report["backend"] == "montecarlo" and report["budget"] == 2000
 
 
-def test_trace_real_time_montecarlo_reference_keeps_its_imaginary_part(capsys):
-    """The report holds the whole complex reference its gap is taken against,
-    as the matrix backend's does, so the gap can be read from the report."""
-    code, out, _ = run(["trace", "--n", "2", "--k", "1.5", "--mu", "1,1.6", "--t", "0.5",
-                        "--mode", "real", "--m", "4", "--backend", "montecarlo",
-                        "--cutoff", "2", "--budget", "3000"], capsys)
+def test_trace_real_time_montecarlo_is_refused(capsys):
+    """Real time has no Monte Carlo integral to estimate (pathint docstring),
+    so the run exits 1 with no report."""
+    code, out, err = run(["trace", "--n", "1", "--k", "1", "--mu", "1", "--t", "1", "--m", "1",
+                          "--backend", "montecarlo", "--cutoff", "3", "--seed", "7"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("bgcs trace: montecarlo backend cannot run in real time")
+
+
+def test_trace_montecarlo_single_slice_report_is_real(capsys):
+    code, out, _ = run(["trace", "--n", "1", "--k", "10", "--mu", "1.2", "--beta", "1",
+                        "--m", "1", "--backend", "montecarlo", "--cutoff", "6",
+                        "--budget", "20000", "--seed", "5"], capsys)
     report = json.loads(out)
-    config = pathint.TraceConfig(mode="real", horizon=0.5, slices=4, cutoff=2, weights="exp",
-                                 backend="montecarlo", budget=3000, seed=DEFAULT_SEED)
-    expected, _ = pathint.trace_reference(pathint.HamiltonianParams.from_mu([1.0, 1.6]), 1.5,
-                                          config)
-    reference = complex(report["reference"], report["reference_im"])
-    assert reference == expected and expected.imag != 0.0
-    assert report["gap"] == abs(complex(report["value"], report["value_im"]) - reference)
-    assert code == 0
+    assert code == 0 and "value_im" not in report
+    assert report["value"] == 0.894818085865205
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "1", "--k", "1", "--budget", "1"],
+    ["trace", "--n", "1", "--k", "10", "--mu", "1.2", "--beta", "1", "--m", "1",
+     "--backend", "montecarlo", "--cutoff", "6", "--budget", "1"],
+])
+def test_an_infinite_standard_error_fails_the_gate(argv, capsys):
+    """One sample has no standard error, so its gate cannot pass."""
+    code, out, _ = run(argv, capsys)
+    report = json.loads(out)
+    assert code == 2 and report["passed"] is False
 
 
 @pytest.mark.parametrize("mu, beta", [("1e-200", "1e-200"), ("1e-150", "1e-160")])
@@ -160,9 +173,10 @@ def test_usage_errors_exit_1(capsys):
 def test_domain_error_exit_1(capsys):
     code, out, err = run(["inner", "--k", "1", "--z", "1,2", "--zp", "1"], capsys)
     assert code == 1 and "length" in err
-    code, _, err = run(["trace", "--n", "1", "--k", "1", "--mu", "1", "--m", "4",
-                        "--backend", "matrix", "--cutoff", "6"], capsys)
-    assert code == 1 and "--beta" in err
+    with pytest.raises(SystemExit) as info:
+        cli.main(["trace", "--n", "1", "--k", "1", "--mu", "1", "--m", "4",
+                  "--backend", "matrix", "--cutoff", "6"])
+    assert info.value.code == 1 and "--beta" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -171,7 +185,7 @@ def test_domain_error_exit_1(capsys):
     (["inner", "--k", "inf", "--z", "1", "--zp", "0.5"], "need finite k > 0"),
     (["formula-a", "--n", "1", "--k", "1", "--s", "inf"], "need finite s of length 1, got [inf]"),
     (["formula-b", "--mu", "inf", "--nu", "0", "--a", "1"], "need finite mu, got inf"),
-    (["trace", "--n", "1", "--k", "1", "--mu", "1", "--t", "nan", "--mode", "real",
+    (["trace", "--n", "1", "--k", "1", "--mu", "1", "--t", "nan",
       "--m", "8", "--cutoff", "4"], "need finite horizon, got nan"),
     (["trace", "--n", "1", "--k", "1", "--mu", "1", "--beta", "inf", "--m", "8",
       "--cutoff", "4"], "need finite horizon > 0, got inf"),
@@ -220,16 +234,26 @@ def test_values_the_cli_would_ignore_or_not_report_exit_1(capsys):
      "need integer sample count >= 1, got 0"),
     (["rou", "--n", "1", "--k", "1", "--cutoff", "2", "--workers", "0"],
      "need integer workers >= 1, got 0"),
-    (["trace", "--n", "1", "--k", "1", "--mu", "1", "--beta", "1", "--m", "8", "--cutoff", "4",
-      "--t", "nan"], "need finite t, got nan"),
-    (["trace", "--n", "1", "--k", "1", "--mu", "1", "--t", "1", "--m", "8", "--cutoff", "4",
-      "--mode", "real", "--beta", "inf"], "need finite beta, got inf"),
 ])
 def test_options_a_mode_does_not_read_are_still_checked(argv, message, capsys):
-    """rou by quadrature draws no samples and imaginary-time trace reads no
-    --t (real time no --beta), yet a bad value there used to exit 0."""
+    """rou by quadrature draws no samples, yet a bad value there used to exit 0."""
     code, out, err = run(argv, capsys)
     assert (code, out, err) == (1, "", f"bgcs {argv[0]}: {message}\n")
+
+
+@pytest.mark.parametrize("horizons, message", [
+    (["--beta", "1", "--t", "nan"], "argument --t: not allowed with argument --beta"),
+    ([], "one of the arguments --beta --t is required"),
+])
+def test_trace_takes_exactly_one_of_beta_and_t(horizons, message, capsys):
+    """--beta means imaginary time and --t real time, so both, or neither,
+    is a usage error."""
+    with pytest.raises(SystemExit) as info:
+        cli.main(["trace", "--n", "1", "--k", "1", "--mu", "1", "--m", "8", "--cutoff", "4",
+                  *horizons])
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out) == (1, "")
+    assert captured.err.endswith(f"bgcs trace: error: {message}\n")
 
 
 def test_formula_a_divergent_origin_is_a_domain_error(capsys):
@@ -347,28 +371,24 @@ def test_reports_are_byte_identical(tmp_path, capsys):
     assert len(first.read_bytes()) > 0
 
 
-def test_seed_resolution(capsys, monkeypatch):
-    monkeypatch.delenv("BGCS_SEED", raising=False)
+def test_seed_resolution(capsys):
+    assert cli.build_parser() is cli.build_parser()
     _, out, _ = run(["sample", "--n", "1", "--k", "1", "--budget", "1000"], capsys)
     assert json.loads(out)["seed"] == DEFAULT_SEED
-    monkeypatch.setenv("BGCS_SEED", "777")
-    _, out, _ = run(["sample", "--n", "1", "--k", "1", "--budget", "1000"], capsys)
-    assert json.loads(out)["seed"] == 777
     _, out, _ = run(["sample", "--n", "1", "--k", "1", "--budget", "1000",
                      "--seed", "9"], capsys)
     assert json.loads(out)["seed"] == 9
 
 
-def test_cached_parser_reads_the_seed_per_call(capsys, monkeypatch):
-    """The parser is built once per process, so the BGCS_SEED default must
-    be read when each command runs, not when the parser is built."""
-    assert cli.build_parser() is cli.build_parser()
-    seeds = []
-    for env in ("11", "12"):
-        monkeypatch.setenv("BGCS_SEED", env)
-        _, out, _ = run(["sample", "--n", "1", "--k", "1", "--budget", "1000"], capsys)
-        seeds.append(json.loads(out)["seed"])
-    assert seeds == [11, 12]
+def test_the_environment_sets_no_seed(capsys, monkeypatch):
+    """Only --seed moves the seed, so one command line prints the same bytes
+    on every machine."""
+    argv = ["sample", "--n", "1", "--k", "1", "--budget", "1000"]
+    _, plain, _ = run(argv, capsys)
+    monkeypatch.setenv("BGCS_SEED", "777")
+    _, out, _ = run(argv, capsys)
+    assert json.loads(out)["seed"] == DEFAULT_SEED == 20260823
+    assert out == plain
 
 
 def test_out_writes_file_only(tmp_path, capsys):

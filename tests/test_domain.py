@@ -189,14 +189,13 @@ CLI_ROWS = {
     "trace": ({"--n": "1", "--k": "1", "--mu": "1", "--beta": "1", "--m": "8", "--cutoff": "4",
                "--budget": "1000"},
               {"--n": ("n", POSITIVE), "--k": ("k", POSITIVE), "--mu": ("mu", REAL),
-               "--c-last": ("c_last", REAL), "--beta": ("horizon", POSITIVE), "--t": ("t", REAL),
+               "--c-last": ("c_last", REAL), "--beta": ("horizon", POSITIVE),
                "--m": ("slices", POSITIVE), "--cutoff": ("cutoff", AT_LEAST_0),
                "--tol": ("tol", POSITIVE), "--zmax": ("zmax", POSITIVE),
                "--seed": ("seed", AT_LEAST_0), "--workers": ("workers", POSITIVE),
                "--budget": ("budget", POSITIVE)}),
-    "trace --mode real": ({"--n": "1", "--k": "1", "--mu": "1", "--t": "1", "--m": "8",
-                           "--cutoff": "4", "--mode": "real"},
-                          {"--t": ("horizon", REAL), "--beta": ("beta", REAL)}),
+    "trace --t": ({"--n": "1", "--k": "1", "--mu": "1", "--t": "1", "--m": "8", "--cutoff": "4"},
+                  {"--t": ("horizon", REAL)}),
 }
 
 

@@ -491,6 +491,16 @@ def test_sampler_report_refuses_before_any_quadrature(monkeypatch, count, seed, 
     assert calls == []
 
 
+def test_sampler_report_without_a_finite_error_fails_its_rows():
+    """One sample gives the moment rows an infinite standard error.  Their
+    z-score is inf, not 0, so max_z is inf and no zmax gate can pass."""
+    report = measure.sampler_report(measure.MeasureModel(1, 1.0), 1, seed=3)
+    infinite = [row for row in report["rows"] if row["sem"] == math.inf]
+    assert len(infinite) == 4
+    assert all(row["z_score"] == math.inf for row in infinite)
+    assert report["max_z"] == math.inf
+
+
 def test_sampler_report_within_bands():
     model = measure.MeasureModel(1, 1.0)
     report = measure.sampler_report(model, 100_000, seed=0)

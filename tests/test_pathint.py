@@ -503,6 +503,27 @@ def test_sliced_montecarlo_multi_slice_reports_heavy_tails():
     assert 0.0 <= res.params["max_fraction"] <= 1.0
 
 
+def test_sliced_montecarlo_single_slice_is_real():
+    """At M = 1 the loop argument is |z|^2, taken as a real lane, so the
+    estimate has no imaginary part; conj(z) * z through the complex
+    multiply can leave a stray one."""
+    config = pathint.TraceConfig(horizon=1.0, slices=1, cutoff=6, weights="exp",
+                                 backend="montecarlo", budget=20_000, seed=5)
+    res = pathint.sliced_trace(pathint.HamiltonianParams.from_mu([1.2]), 10.0, config)
+    assert isinstance(res.value, float)
+    assert "value_im" not in res.as_dict()
+
+
+@pytest.mark.parametrize("slices", [1, 4])
+def test_sliced_montecarlo_refuses_real_time(slices):
+    """In real time the weight's modulus outgrows the measure at every M, so
+    there is no integral to estimate."""
+    config = pathint.TraceConfig(mode="real", horizon=1.0, slices=slices, cutoff=3,
+                                 weights="exp", backend="montecarlo", seed=7)
+    with pytest.raises(ValueError, match="cannot run in real time.*diverges absolutely"):
+        pathint.sliced_trace(HP1, 1.0, config)
+
+
 def test_trace_reference_matrix_imaginary_takes_the_closed_product():
     """Every mu > 0: the untruncated product, whatever the cutoff."""
     config = pathint.TraceConfig(horizon=1.0, slices=64, cutoff=3)
