@@ -244,7 +244,7 @@ def test_options_a_mode_does_not_read_are_still_checked(argv, message, capsys):
 @pytest.mark.parametrize("horizons, message", [
     (["--beta", "1", "--t", "nan"], "argument --t: not allowed with argument --beta"),
     ([], "one of the arguments --beta --t is required"),
-])
+], ids=["both", "neither"])
 def test_trace_takes_exactly_one_of_beta_and_t(horizons, message, capsys):
     """--beta means imaginary time and --t real time, so both, or neither,
     is a usage error."""
