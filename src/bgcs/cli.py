@@ -1,11 +1,12 @@
 """Command-line front end: single evaluations and verification runs with
 reproducible seeds and machine-readable reports.
 
-Every command writes one report (JSON by default, CSV as a flat projection)
-to stdout or --out.  Exit status: 0 when all requested checks are within
-tolerance, 2 on a tolerance breach, 1 on usage or domain errors.  Reports
-contain no timestamps or machine state, and all randomness is derived from
-(seed, workers), so identical invocations produce byte-identical output.
+Every command writes one report (JSON by default, with null for a non-finite
+number; CSV as a flat projection) to stdout or --out.  Exit status: 0 when
+all requested checks are within tolerance, 2 on a tolerance breach, 1 on
+usage or domain errors.  Reports contain no timestamps or machine state, and
+all randomness is derived from (seed, workers), so identical invocations
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -98,7 +99,10 @@ def _flatten(obj, prefix=""):
 
 def _render(report, fmt):
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        try:
+            return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        except ValueError:  # a non-finite float: written as null, so the JSON stays strict
+            return _render(json.loads(json.dumps(report), parse_constant=lambda _: None), fmt)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     rows = report.get("rows")

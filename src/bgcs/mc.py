@@ -19,9 +19,9 @@ from .specfun import _integer
 
 DEFAULT_SEED = 20260823
 # The piece length of the Monte Carlo resolution of unity and the kernel and
-# sliced traces, bounding the labels they hold at once.  sample and
-# sampler_report draw each worker's share as one piece, because the piece
-# layout fixes the labels; sampler_report then holds a block at a time.
+# sliced traces: the kernel trace holds a piece's labels whole, the other two its
+# radii whole and the rest one measure._BLOCK_ROWS block at a time.  sample and
+# sampler_report take each worker's share as one piece: the layout fixes the labels.
 CHUNK = 200_000
 
 

@@ -243,8 +243,9 @@ def moment_check(model, n_vec):
 # --- exact sampler ---------------------------------------------------------
 
 
-# Label rows per block of sampler_report's streamed draws: of 2^10 ... 2^19,
-# 2^14 ran a 300,000-sample report at N = 3 fastest, at 14 bytes per sample.
+# Rows per block of the streamed Monte Carlo loops (labels of sampler_report and
+# the sliced trace, monomial entries of the Gram): of 2^10 ... 2^19, 2^14 ran a
+# 300,000-sample report at N = 3 fastest, at 14 bytes per sample.
 _BLOCK_ROWS = 1 << 14
 
 
@@ -275,18 +276,23 @@ def draw_labels(model, count, rng):
     draws that add up to b, so a loop that draws x whole and then r and
     theta a block of rows at a time, in that order, gets these labels.
     """
-    x = _gamma_mixing(model, count, rng)
-    return _radii(model, x, rng), _angles(model, count, rng)
+    return _radii(model, _gamma_mixing(model, count, rng), rng), _angles(model, count, rng)
+
+
+def _label_blocks(model, count, rng, rows):
+    """The labels of draw_labels(model, count, rng) as z = sqrt(r) e^(i theta),
+    in blocks of at most `rows` rows: the mixing variables and radii are
+    drawn whole, in draw_labels' stream order, and theta one block at a time."""
+    root = _radii(model, _gamma_mixing(model, count, rng), rng)
+    np.sqrt(root, out=root)
+    for start in range(0, count, rows):
+        yield root[start:start + rows] * np.exp(1j * _angles(model, min(rows, count - start), rng))
 
 
 def sample(model, count, seed=mc.DEFAULT_SEED, workers=1):
     """Labels from dmu, deterministic for fixed (seed, workers)."""
-    parts_r, parts_t = [], []
-    for rng, part in mc.draws(seed, workers, count, cap=count):
-        r, theta = draw_labels(model, part, rng)
-        parts_r.append(r)
-        parts_t.append(theta)
-    return np.concatenate(parts_r), np.concatenate(parts_t)
+    parts = [draw_labels(model, part, rng) for rng, part in mc.draws(seed, workers, count, count)]
+    return tuple(np.concatenate(labels) for labels in zip(*parts))
 
 
 # Probe ladder for the total-radius CDF test, in units of E[R] = N K.  Ten
@@ -393,22 +399,16 @@ class ResolutionResult:
         return out
 
 
-def _basis_monomials(space, z):
-    """Matrix M[i, s] = C_i * prod_a z[s, a]^{n_a(i)} over samples s."""
-    count = z.shape[0]
-    powers = []
-    for a in range(space.n):
-        col = [np.ones(count, dtype=complex)]
-        for _ in range(space.cutoff):
-            col.append(col[-1] * z[:, a])
-        powers.append(col)
-    m = np.empty((space.dim, count), dtype=complex)
-    coeffs = coherent.coefficients(space).tolist()
-    for i, state in enumerate(space.occ.tolist()):
-        m[i] = coeffs[i]
-        for a, na in enumerate(state):
-            if na:
-                m[i] *= powers[a][na]
+def _basis_monomials(space, coeffs, z):
+    """Matrix M[i, s] = C_i * prod_a z[s, a]^{n_a(i)} over samples s, with C =
+    coherent.coefficients(space): per axis a, one gather of the rows n_a(i)
+    from the table of powers z[s, a]^d, d = 0..cutoff."""
+    powers = np.ones((space.cutoff + 1, space.n, z.shape[0]), dtype=complex)
+    for d in range(1, space.cutoff + 1):
+        np.multiply(powers[d - 1], z.T, out=powers[d])
+    m = coeffs[:, None] * powers[space.occ[:, 0], 0]
+    for a in range(1, space.n):
+        m *= powers[space.occ[:, a], a]
     return m
 
 
@@ -430,31 +430,26 @@ def resolution_check(model, cutoff, mode="quadrature", budget=10**5,
     space = fock.rep_space(model.n, model.k, cutoff)
     parts = mc.draws(seed, workers, budget, cap=mc.CHUNK)  # checked in either mode
     if mode == "quadrature":
-        max_dev = 0.0
-        for state in space.occ.tolist():
-            res = moment_check(model, state)
-            max_dev = max(max_dev, res.rel_err)
+        max_dev = max(moment_check(model, state).rel_err for state in space.occ.tolist())
         return ResolutionResult(
             "quadrature", {"n": model.n, "k": model.k, "cutoff": cutoff}, float(max_dev)
         )
     if mode != "montecarlo":
         raise ValueError(f"unknown mode {mode!r}")
 
-    dim = space.dim
+    dim, coeffs = space.dim, coherent.coefficients(space)
     gram = np.zeros((dim, dim), dtype=complex)
-    width = max(1, mc.CHUNK // dim)  # samples per monomial block of <= CHUNK entries
-    for rng, chunk in parts:  # draw_labels' stream, with theta drawn a block at a time
-        r = _radii(model, _gamma_mixing(model, chunk, rng), rng)
-        for start in range(0, chunk, width):
-            theta = _angles(model, min(width, chunk - start), rng)
-            m = _basis_monomials(space, np.sqrt(r[start:start + width]) * np.exp(1j * theta))
+    width = max(1, _BLOCK_ROWS // dim)  # samples per monomial block of <= _BLOCK_ROWS entries
+    for rng, chunk in parts:
+        for z in _label_blocks(model, chunk, rng, width):
+            m = _basis_monomials(space, coeffs, z)
             gram += m @ m.conj().T
     gram /= budget
 
     # analytic per-entry variance: E|g|^2 = C_m^2 C_n^2 prod (m_a+n_a)! *
     # Gamma(K + |m|+|n|) / Gamma(K), minus |delta_mn|^2
     k, occ, deg = model.k, space.occ, space.deg
-    log_c = np.array([math.log(c) for c in coherent.coefficients(space).tolist()])
+    log_c = np.array([math.log(c) for c in coeffs.tolist()])
     log_fact = np.array([math.lgamma(v + 1.0) for v in range(2 * cutoff + 1)])
     log_gamma_kd = np.array([[math.lgamma(k + di + dj) for dj in range(cutoff + 1)]
                              for di in range(cutoff + 1)])

@@ -31,7 +31,8 @@ w = <z|z'> exp(-dt <z|H|z'>/<z|z'>) give lambda_p = e^{-dt E_p}(1 + O(dt^2))
 at each fixed p, computed here by truncated power-series algebra (product,
 quotient, exp by total degree).  Monte Carlo mode instead samples the M
 labels from dmu directly and averages the weight product, which estimates
-the untruncated sliced integral.
+the untruncated sliced integral; it holds a piece's radii whole and the rest
+one block of whole M-label samples at a time (measure._label_blocks).
 
 Two divergences are guarded.  On the untruncated space the linear-weight
 product diverges (the weights grow without bound along the spectrum), so
@@ -422,6 +423,17 @@ def transfer_eigenvalues(hp, k, cutoff, step, weights):
     return w / fk
 
 
+def _refuse_montecarlo(config):
+    """The Monte Carlo domain, exp weights in imaginary time: else ValueError."""
+    if config.weights == "linear":
+        raise ValueError("montecarlo backend cannot use linear weights: the sliced product "
+                         "diverges on the untruncated space")
+    if config.mode == "real":
+        raise ValueError("montecarlo backend cannot run in real time: the weight's modulus "
+                         "(F(K; R) at M = 1) outgrows the measure, so the sliced integral "
+                         "diverges absolutely")
+
+
 def sliced_trace(hp, k, config):
     """The M-slice trace in the requested mode/backend; see module docstring."""
     step = config.step
@@ -458,44 +470,31 @@ def sliced_trace(hp, k, config):
         return TraceResult(value, None, params)
 
     # Monte Carlo over M independent labels per sample
-    if config.weights == "linear":
-        raise ValueError(
-            "montecarlo backend cannot use linear weights: the sliced product "
-            "diverges on the untruncated space"
-        )
-    if config.mode == "real":
-        raise ValueError(
-            "montecarlo backend cannot run in real time: the weight's modulus "
-            "(F(K; R) at M = 1) outgrows the measure, so the sliced integral "
-            "diverges absolutely"
-        )
-    model = measure.MeasureModel(hp.n, k)
-    mu = hp.mu
-    m_slices = config.slices
-    acc = mc.RunningMoments()
-    nonfinite = 0
+    _refuse_montecarlo(config)
+    model, m_slices = measure.MeasureModel(hp.n, k), config.slices
+    rows = m_slices * max(1, measure._BLOCK_ROWS // m_slices)  # whole samples per block
+    acc, nonfinite = mc.RunningMoments(), 0
     for rng, chunk in mc.draws(config.seed, config.workers, config.budget,
                                cap=max(1, mc.CHUNK // m_slices)):
-        r, theta = measure.draw_labels(model, chunk * m_slices, rng)
-        z = (np.sqrt(r) * np.exp(1j * theta)).reshape(chunk, m_slices, hp.n)
-        x = _overlap_argument(z, np.roll(z, 1, axis=1))  # slice j against slice j-1
-        s = np.sum(x, axis=2)
-        # Near zeros of the overlap series the exponent ratio blows up
-        # with either sign (the essential singularities described in the
-        # module docstring); keep those spikes out of the accumulator but
-        # count them, and let max_fraction expose finite near-spikes.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            fk = _f_series_vec(k, s)
-            fk1 = _f_series_vec(k + 1.0, s)
-            h_ratio = k * hp.c[-1] + (1.0 / k) * (x @ mu) * fk1 / fk
-            prod = np.prod(fk * np.exp(-step * h_ratio), axis=1)
-        good = np.isfinite(prod)
-        nonfinite += int(prod.size - np.count_nonzero(good))
-        acc.add(prod[good])
+        for z in measure._label_blocks(model, chunk * m_slices, rng, rows):
+            z = z.reshape(-1, m_slices, hp.n)
+            x = _overlap_argument(z, np.roll(z, 1, axis=1))  # slice j against slice j-1
+            s = np.sum(x, axis=2)
+            # Near zeros of the overlap series the exponent ratio blows up
+            # with either sign (the essential singularities described in the
+            # module docstring); keep those spikes out of the accumulator but
+            # count them, and let max_fraction expose finite near-spikes.
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                fk, fk1 = _f_series_vec(k, s), _f_series_vec(k + 1.0, s)
+                h_ratio = k * hp.c[-1] + (1.0 / k) * (x @ hp.mu) * fk1 / fk
+                prod = np.prod(fk * np.exp(-step * h_ratio), axis=1)
+            good = np.isfinite(prod)
+            nonfinite += int(prod.size - np.count_nonzero(good))
+            acc.add(prod[good])
     # Finite variance requires staying off the singular set (M = 1, where the
     # loop argument is the positive diagonal) with horizon * mu beating the
     # overlap growth; everything else gets a standing warning.
-    safe = m_slices == 1 and config.horizon * float(np.min(mu)) > 1.0
+    safe = m_slices == 1 and config.horizon * float(np.min(hp.mu)) > 1.0
     params.update(budget=int(config.budget), seed=int(config.seed),
                   workers=int(config.workers), nonfinite_count=int(nonfinite),
                   variance_warning=not safe, max_fraction=acc.max_fraction)
@@ -506,14 +505,16 @@ def trace_reference(hp, k, config):
     """(reference, bound) for sliced_trace(hp, k, config).  matrix: the spectral
     trace, bound None; imaginary time takes the closed product when all mu > 0
     (it diverges otherwise), else the cutoff-basis sum, as real time does.
-    montecarlo: the matrix value at the same weights and the series truncation
-    bound sum |lambda_p|^M over |p| = cutoff + 1; (None, None) without a cutoff."""
+    montecarlo, refused where sliced_trace is: the matrix value at the same
+    weights and the series truncation bound sum |lambda_p|^M over |p| =
+    cutoff + 1; (None, None) without a cutoff."""
     if config.backend == "matrix":
         if config.mode == "real":
             levels = energies(hp, k, fock.rep_space(hp.n, k, config.cutoff))
             return complex(np.sum(np.exp(-1j * config.horizon * levels))), None
         cutoff = None if np.all(hp.mu > 0.0) else config.cutoff
         return complex(exact_spectral_trace(hp, k, config.horizon, cutoff=cutoff)), None
+    _refuse_montecarlo(config)
     if config.cutoff is None:
         return None, None
     value = complex(sliced_trace(hp, k, replace(config, backend="matrix")).value)

@@ -7,7 +7,9 @@ the resulting digits as literals; these functions record where the digits
 came from and let anyone re-derive them.  A few routines instead keep a
 plain or branch-by-branch form of a library kernel that the kernel must
 match bit for bit (`shell_sum_reference`, `generator_matrix_reference`,
-`transfer_exp_reference`).
+`transfer_exp_reference`, `basis_monomials_reference`), or a streamed Monte
+Carlo loop from whole-piece labels (`resolution_gram_reference`,
+`sliced_trace_reference`).
 """
 
 import mpmath as mp
@@ -273,3 +275,78 @@ def angular_grid(t):
         running = running * flat[a]
     frac[:, n - 1] = running
     return t @ frac.T, grid_w
+
+
+def basis_monomials_reference(space, coeffs, z):
+    """M[i, s] = C_i * prod_a z[s, a]^{n_a(i)}, one basis row at a time, each
+    row multiplied by the powers of its nonzero occupations only: the row
+    loop that bgcs.measure._basis_monomials must match bit for bit."""
+    powers = []
+    for a in range(space.n):
+        col = [np.ones(z.shape[0], dtype=complex)]
+        for _ in range(space.cutoff):
+            col.append(col[-1] * z[:, a])
+        powers.append(col)
+    m = np.empty((space.dim, z.shape[0]), dtype=complex)
+    for i, state in enumerate(space.occ.tolist()):
+        m[i] = coeffs[i]
+        for a, na in enumerate(state):
+            if na:
+                m[i] *= powers[a][na]
+    return m
+
+
+def _whole_pieces(model, budget, seed, workers, cap, labels_per_sample=1):
+    """z = sqrt(r) e^(i theta) of each piece of bgcs.mc.draws(seed, workers,
+    budget, cap), all labels_per_sample * piece rows drawn at once by
+    bgcs.measure.draw_labels: the labels of measure.sample(model, budget,
+    seed, workers) whenever each worker's share is one piece."""
+    from bgcs import mc, measure
+
+    for rng, piece in mc.draws(seed, workers, budget, cap):
+        r, theta = measure.draw_labels(model, piece * labels_per_sample, rng)
+        yield np.sqrt(r) * np.exp(1j * theta)
+
+
+def resolution_gram_reference(model, cutoff, budget, seed, workers):
+    """The Monte Carlo Gram matrix of bgcs.measure.resolution_check, from
+    whole-piece labels and the row-loop monomials, summed over the same
+    blocks of at most measure._BLOCK_ROWS monomial entries."""
+    from bgcs import coherent, fock, mc, measure
+
+    space = fock.rep_space(model.n, model.k, cutoff)
+    coeffs = coherent.coefficients(space)
+    width = max(1, measure._BLOCK_ROWS // space.dim)
+    gram = np.zeros((space.dim, space.dim), dtype=complex)
+    for z in _whole_pieces(model, budget, seed, workers, mc.CHUNK):
+        for start in range(0, len(z), width):
+            m = basis_monomials_reference(space, coeffs, z[start:start + width])
+            gram += m @ m.conj().T
+    return gram / budget
+
+
+def sliced_trace_reference(hp, k, config):
+    """(mean, sem, nonfinite count) of the Monte Carlo sliced trace of
+    bgcs.pathint.sliced_trace, from whole-piece labels, fed to the running
+    moments over the same blocks of at most measure._BLOCK_ROWS labels."""
+    from bgcs import mc, measure
+    from bgcs.coherent import _f_series_vec, _overlap_argument
+
+    m_slices = config.slices
+    samples = max(1, measure._BLOCK_ROWS // m_slices)
+    acc, nonfinite = mc.RunningMoments(), 0
+    for z in _whole_pieces(measure.MeasureModel(hp.n, k), config.budget, config.seed,
+                           config.workers, max(1, mc.CHUNK // m_slices), m_slices):
+        z = z.reshape(-1, m_slices, hp.n)
+        for start in range(0, len(z), samples):
+            zb = z[start:start + samples]
+            x = _overlap_argument(zb, np.roll(zb, 1, axis=1))
+            s = np.sum(x, axis=2)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                fk, fk1 = _f_series_vec(k, s), _f_series_vec(k + 1.0, s)
+                h_ratio = k * hp.c[-1] + (1.0 / k) * (x @ hp.mu) * fk1 / fk
+                prod = np.prod(fk * np.exp(-config.step * h_ratio), axis=1)
+            good = np.isfinite(prod)
+            nonfinite += int(prod.size - np.count_nonzero(good))
+            acc.add(prod[good])
+    return acc.mean, acc.sem, nonfinite

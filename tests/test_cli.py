@@ -102,16 +102,34 @@ def test_trace_montecarlo_single_slice_report_is_real(capsys):
     assert report["value"] == 0.894818085865205
 
 
-@pytest.mark.parametrize("argv", [
+ONE_SAMPLE_RUNS = [
     ["sample", "--n", "1", "--k", "1", "--budget", "1"],
     ["trace", "--n", "1", "--k", "10", "--mu", "1.2", "--beta", "1", "--m", "1",
      "--backend", "montecarlo", "--cutoff", "6", "--budget", "1"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", ONE_SAMPLE_RUNS)
 def test_an_infinite_standard_error_fails_the_gate(argv, capsys):
     """One sample has no standard error, so its gate cannot pass."""
     code, out, _ = run(argv, capsys)
     report = json.loads(out)
     assert code == 2 and report["passed"] is False
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+@pytest.mark.parametrize("argv, nulls", zip(ONE_SAMPLE_RUNS, [9, 1]))
+def test_non_finite_numbers_are_written_as_null(argv, nulls, capsys):
+    """An infinite standard error, and each z-score taken from one, is
+    written as null, so the report is strict JSON; the run still exits 2."""
+    code, out, _ = run(argv, capsys)
+    report = json.loads(out, parse_constant=_refuse_constant)
+    assert code == 2 and report["passed"] is False
+    assert out.count(": null") == nulls
+    assert (report["max_z"] if argv[0] == "sample" else report["error"]) is None
 
 
 @pytest.mark.parametrize("mu, beta", [("1e-200", "1e-200"), ("1e-150", "1e-160")])

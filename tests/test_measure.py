@@ -15,7 +15,8 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgcs import fock, mc, measure, quadrature, specfun
+import oracles
+from bgcs import coherent, fock, mc, measure, quadrature, specfun
 
 HALF_PI_ROOT2 = 2.2214414690791831  # (1/4) 2 Gamma(3/4) Gamma(1/4) = pi/sqrt(2) * ...
 
@@ -583,29 +584,31 @@ def test_resolution_montecarlo():
 
 
 def test_resolution_montecarlo_bounds_monomial_blocks(monkeypatch):
-    """The Gram matrix is built from monomial blocks of at most mc.CHUNK
-    entries, whatever the dimension (84 here) and the sample budget."""
+    """The Gram matrix is built from monomial blocks of at most
+    measure._BLOCK_ROWS entries, whatever the dimension (84 here) and the
+    sample budget."""
     sizes = []
     build = measure._basis_monomials
 
-    def spy(space, z):
-        m = build(space, z)
+    def spy(space, coeffs, z):
+        m = build(space, coeffs, z)
         sizes.append(m.size)
         return m
 
     monkeypatch.setattr(measure, "_basis_monomials", spy)
     measure.resolution_check(measure.MeasureModel(3, 2.5), 6, mode="montecarlo", budget=5000)
     assert sum(sizes) == 84 * 5000
-    assert max(sizes) <= mc.CHUNK
+    assert max(sizes) <= measure._BLOCK_ROWS
 
 
 def test_resolution_montecarlo_holds_one_chunk_of_radii():
     """A chunk holds its mixing variables and radii whole, and theta, z and
     the monomials one block at a time: three monomial-block buffers (the
-    powers, M and its conjugate) past the radii."""
+    gathered powers, M and its conjugate) past the radii.  The basis and its
+    coefficients are cached before the count starts."""
     model, cutoff = measure.MeasureModel(3, 2.5), 6
-    dim = fock.rep_space(model.n, model.k, cutoff).dim
-    block = 16 * dim * (mc.CHUNK // dim)
+    block = 16 * measure._BLOCK_ROWS
+    measure.resolution_check(model, cutoff, mode="montecarlo", budget=10)  # fills the caches
     tracemalloc.start()
     try:
         measure.resolution_check(model, cutoff, mode="montecarlo", budget=mc.CHUNK)
@@ -615,18 +618,43 @@ def test_resolution_montecarlo_holds_one_chunk_of_radii():
     assert peak <= 8 * mc.CHUNK * (model.n + 1) + 3 * block
 
 
+@pytest.mark.parametrize("width", [1, 2, 195, 1092])
+@pytest.mark.parametrize("n, k, cutoff", [(1, 0.75, 8), (2, 1.5, 4), (3, 2.5, 6)])
+def test_basis_monomials_is_the_row_loop(n, k, cutoff, width):
+    """One gather per axis from the table of powers keeps the bits of the
+    row-by-row product, which skips the axes a row does not occupy.  At one
+    sample the row loop multiplies one-element arrays in place, which numpy
+    rounds as Python's complex product does, not as its vector loop: there
+    the two agree to rounding only."""
+    space = fock.rep_space(n, k, cutoff)
+    coeffs = coherent.coefficients(space)
+    r, theta = measure.sample(measure.MeasureModel(n, k), width, seed=3)
+    z = np.sqrt(r) * np.exp(1j * theta)
+    m = measure._basis_monomials(space, coeffs, z)
+    reference = oracles.basis_monomials_reference(space, coeffs, z)
+    assert m.shape == (space.dim, width)
+    if width > 1:
+        assert np.array_equal(m, reference)
+    else:
+        np.testing.assert_allclose(m, reference, rtol=1e-14, atol=0.0)
+
+
 @pytest.mark.parametrize("n, k, cutoff, budget, max_dev, max_z", [
     (3, 2.5, 6, 30_000, 1.8103251376563054, 2.8554970697753235),
     (2, 1.5, 4, 410_001, 0.15008287850053637, 2.3341648726474604),
 ])
 def test_resolution_montecarlo_keeps_its_bits(n, k, cutoff, budget, max_dev, max_z):
-    """Values captured when theta and z were drawn for a whole chunk at
-    once: drawn a block at a time, the Gram matrix keeps every bit.  The
-    first case spans seven monomial blocks per worker, the second two
-    chunks per worker."""
-    res = measure.resolution_check(measure.MeasureModel(n, k), cutoff, mode="montecarlo",
+    """The streamed Gram matrix is the one summed over the same blocks from
+    each piece's labels drawn whole, with the row-loop monomials, bit for
+    bit.  The first case spans 77 monomial blocks per worker, the second
+    two chunks per worker.  max_dev and max_z stay within 1e-13 of the
+    values captured when a monomial block held up to mc.CHUNK entries."""
+    model = measure.MeasureModel(n, k)
+    res = measure.resolution_check(model, cutoff, mode="montecarlo",
                                    budget=budget, seed=9, workers=2)
-    assert (res.max_dev, res.max_z) == (max_dev, max_z)
+    gram = oracles.resolution_gram_reference(model, cutoff, budget, 9, 2)
+    assert res.max_dev == float(np.max(np.abs(gram - np.eye(len(gram)))))
+    assert (res.max_dev, res.max_z) == pytest.approx((max_dev, max_z), rel=1e-13)
 
 
 def test_resolution_montecarlo_scores_no_constant_entry():

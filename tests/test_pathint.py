@@ -3,6 +3,7 @@ transfer spectrum in both weight forms, stability guards, and the Monte
 Carlo backend inside and outside its safe window."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -524,6 +525,47 @@ def test_sliced_montecarlo_refuses_real_time(slices):
         pathint.sliced_trace(HP1, 1.0, config)
 
 
+@pytest.mark.parametrize("mu, k, slices, budget, workers, value, error", [
+    ([1.2], 10.0, 1, 20_000, 1, 0.8955098502275781, 0.00046961722564451704),
+    ([1.0], 1.0, 2, 20_000, 2, 139327.36321455252 - 9.119506460520488e-10j, 139318.7024202758),
+    ([1.0], 1.0, 4, 20_000, 1, 1.394395624048945 + 0.09415632486435016j, 0.23710097720441306),
+    ([1.0, 1.6], 1.5, 4, 9_001, 3, 1.9247686671083437 + 0.5637897291894911j, 0.7991865588755916),
+    ([1.0], 1.0, 64, 5000, 1, -9839.866573097806 + 8406.232811101883j, 28427.911005109403),
+], ids=["m1", "m2-workers2", "m4", "n2-m4-workers3", "m64-two-pieces"])
+def test_sliced_montecarlo_keeps_its_bits(mu, k, slices, budget, workers, value, error):
+    """The streamed estimate is the one fed over the same blocks from each
+    piece's labels drawn whole, bit for bit: two blocks per worker at M = 1
+    and 2, five at M = 4, one per worker at N = 2, and two pieces of 13 and 8
+    blocks at M = 64.  value and error stay within 1e-13 of those captured
+    when a piece was one block."""
+    hp = pathint.HamiltonianParams.from_mu(mu)
+    config = pathint.TraceConfig(horizon=1.0, slices=slices, weights="exp", backend="montecarlo",
+                                 budget=budget, seed=11, workers=workers)
+    res = pathint.sliced_trace(hp, k, config)
+    assert (res.value, res.error, res.params["nonfinite_count"]) == \
+        oracles.sliced_trace_reference(hp, k, config)
+    assert (res.value, res.error) == pytest.approx((value, error), rel=1e-13)
+
+
+@pytest.mark.parametrize("budget", [20_000, 50_000])
+def test_sliced_montecarlo_holds_one_block(budget):
+    """A piece holds its mixing variables and radii whole (16 bytes per
+    label at N = 1), and z, the slice arguments and the weights one block of
+    measure._BLOCK_ROWS labels at a time: at M = 4 the bound past the labels
+    is the same for 5 blocks and for 13."""
+    hp = pathint.HamiltonianParams.from_mu([1.0])
+    config = pathint.TraceConfig(horizon=1.0, slices=4, weights="exp", backend="montecarlo",
+                                 budget=budget, seed=3)
+    pathint.sliced_trace(hp, 1.0, replace(config, budget=10))  # fills the caches
+    tracemalloc.start()
+    try:
+        pathint.sliced_trace(hp, 1.0, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 4 * budget + 12 * 16 * measure._BLOCK_ROWS
+
+
 def test_trace_reference_matrix_imaginary_takes_the_closed_product():
     """Every mu > 0: the untruncated product, whatever the cutoff."""
     config = pathint.TraceConfig(horizon=1.0, slices=64, cutoff=3)
@@ -557,7 +599,7 @@ def test_trace_reference_matrix_real_sums_the_cutoff_basis():
 
 @pytest.mark.parametrize("n,k,mu,mode,horizon,slices,cutoff", [
     (1, 10.0, [1.2], "imaginary", 1.0, 1, 6),
-    (2, 1.5, [1.0, 1.6], "real", 0.5, 4, 2),
+    (2, 1.5, [1.0, 1.6], "imaginary", 0.5, 4, 2),
 ])
 def test_trace_reference_montecarlo_is_the_matrix_value_and_next_degree(
         n, k, mu, mode, horizon, slices, cutoff):
@@ -573,6 +615,21 @@ def test_trace_reference_montecarlo_is_the_matrix_value_and_next_degree(
     lam = pathint.transfer_eigenvalues(hp, k, cutoff + 1, config.step, "exp")
     assert reference == complex(mat.value)
     assert bound == float(sum(np.abs(lam[space.deg == cutoff + 1]) ** slices))
+
+
+@pytest.mark.parametrize("mode, weights, match", [
+    ("real", "exp", "cannot run in real time.*diverges absolutely"),
+    ("imaginary", "linear", "cannot use linear weights.*diverges"),
+], ids=["real-time", "linear-weights"])
+def test_trace_reference_montecarlo_refuses_what_sliced_trace_refuses(mode, weights, match):
+    """The reference of a Monte Carlo trace that sliced_trace refuses is
+    refused with the same message, not taken from the matrix backend."""
+    config = pathint.TraceConfig(mode=mode, horizon=0.5, slices=4, cutoff=2, weights=weights,
+                                 backend="montecarlo", budget=10)
+    hp = pathint.HamiltonianParams.from_mu([1.0, 1.6])
+    for route in (pathint.sliced_trace, pathint.trace_reference):
+        with pytest.raises(ValueError, match=match):
+            route(hp, 1.5, config)
 
 
 def test_trace_reference_montecarlo_without_cutoff_is_none():
