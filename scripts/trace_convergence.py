@@ -8,8 +8,9 @@ truncation error. Every rung has M >= 2, where the Monte Carlo backend's
 exp-weight integral has no finite mean (see bgcs.pathint), so the study
 runs the matrix backend only.
 
-Writes a JSON report (or CSV with --format csv) and prints the fitted
-convergence order per weight form.
+Writes a JSON report (or CSV of its rows with --format csv) through the
+bgcs CLI's report writer, and prints the fitted convergence order per
+weight form.
 
 Usage:
     python scripts/trace_convergence.py --out sweep.json
@@ -18,14 +19,12 @@ Usage:
 """
 
 import argparse
-import csv
-import io
-import json
 import sys
 
 import numpy as np
 
 from bgcs import fock, pathint
+from bgcs.cli import _emit
 
 
 def sweep(args):
@@ -69,17 +68,6 @@ def sweep(args):
             "orders": orders, "rows": rows}
 
 
-def render(report, fmt):
-    if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
-    buf = io.StringIO()
-    fields = sorted({key for row in report["rows"] for key in row})
-    writer = csv.DictWriter(buf, fieldnames=fields)
-    writer.writeheader()
-    writer.writerows(report["rows"])
-    return buf.getvalue()
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--k", type=float, default=1.0, help="weight K (default 1)")
@@ -95,12 +83,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     report = sweep(args)
-    text = render(report, args.format)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(report, args)
     for weights, order in report["orders"].items():
         print(f"{weights}: fitted order {order:.3f} in 1/M "
               f"(truncated target {report['target_truncated']:.12g})", file=sys.stderr)

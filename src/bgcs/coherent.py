@@ -48,7 +48,6 @@ from .specfun import ConvergenceError, _occupations, _positive, _vector, log_gam
 
 SHELL_TOL = 1e-14
 MAX_SHELLS = 500
-_BLOCK_BYTES = 1 << 18  # per buffer of a block: 16,384 complex or 32,768 real lanes
 
 
 def coefficient(n, k):
@@ -136,77 +135,44 @@ def _shell_sum(k, s, tol, max_shells, weights=None):
     shell * s has its own: numpy's in-place complex multiply rounds apart.
     numpy divides complex by real c as (re + im 0)(1/c), so complex lanes
     scale their float view by 1/c, same bits if finite; real a/c != a(1/c).
-
-    Lanes run in blocks of _BLOCK_BYTES per buffer, so that the shell
-    passes over a large array stay in a core's L2 cache; an array of one
-    block runs the loop above.  The whole array stops at the first shell D
-    where all its lanes were below at D and D-1, which is the first shell
-    where every block's lanes were: no block's own first such shell lies
-    past D.  So each block in turn runs on, with its own watched lane, to
-    its first such shell at or past the latest one found, until every block
-    in a row has reached the same shell.  That shell is D, or max_shells + 1
-    if some block has none, and a block catching up tests only from the
-    shell before it.  Each lane sees the same operations up to the same
-    shell as in one array, so it keeps its bits and every error is read from
-    the same totals; blocks start at multiples of a power of two, so numpy's
-    vector loops split the lanes as before.  The shells and totals are full
-    length, the product and the test buffers one block long."""
+    Every buffer is as long as s (see _f_series_vec)."""
     shape, s = s.shape, s.ravel()
     shell = np.ones_like(s)
     total = shell.copy() if weights is None else shell * weights[0]
-    width = max(1, _BLOCK_BYTES // s.itemsize)
-    product = np.empty(min(s.size, width), dtype=s.dtype)
-    term = None if weights is None else np.empty_like(product)
-    size = np.empty(product.shape, dtype=shell.real.dtype)  # |term|
+    product = np.empty_like(shell)
+    term = shell if weights is None else np.empty_like(shell)
+    size = np.empty(s.shape, dtype=shell.real.dtype)  # |term|
     bound = np.empty_like(size)  # tol * max(|total|, 1e-300)
-    below = np.empty(product.shape, dtype=bool)
-    blocks = [[lo, 0, False, int(np.abs(s[lo:lo + width]).argmax()) if s.size else 0]
-              for lo in range(0, max(s.size, 1), width)]
-
-    def advance(block, stop):
-        """Run one block on to its first shell d >= stop with its lanes below
-        at d and d-1; d, or max_shells + 1 if there is none."""
-        lo, d, was_below, watch = block
-        x, shell_b, total_b = s[lo:lo + width], shell[lo:lo + width], total[lo:lo + width]
-        n = x.size
-        prod, size_b, bound_b, below_b = product[:n], size[:n], bound[:n], below[:n]
-        term_b = shell_b if weights is None else term[:n]
-        views = (prod.view(size.dtype), shell_b.view(size.dtype)) if np.iscomplexobj(s) else None
-        reached = max_shells + 1
-        for d in range(d + 1, max_shells + 1):
-            np.multiply(shell_b, x, out=prod)
+    below = np.empty(s.shape, dtype=bool)
+    views = (product.view(size.dtype), shell.view(size.dtype)) if np.iscomplexobj(s) else None
+    watch = int(np.abs(s).argmax()) if s.size else 0
+    was_below = converged = False
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite lanes raise below
+        for d in range(1, max_shells + 1):
+            np.multiply(shell, s, out=product)
             if views:
                 np.multiply(views[0], 1.0 / (d * (k + d - 1.0)), out=views[1])
             else:
-                np.divide(prod, d * (k + d - 1.0), out=shell_b)
+                np.divide(product, d * (k + d - 1.0), out=shell)
             if weights is not None:
-                np.multiply(shell_b, weights[d], out=term_b)
-            np.add(total_b, term_b, out=total_b)
-            if d + 1 < stop or n and (abs(term_b.item(watch))
-                                      > 2.0 * tol * max(abs(total_b.item(watch)), 1e-300)):
-                was_below = False  # above, or before shell stop - 1: no flag read there
+                np.multiply(shell, weights[d], out=term)
+            np.add(total, term, out=total)
+            if s.size and abs(term.item(watch)) > 2.0 * tol * max(abs(total.item(watch)), 1e-300):
+                was_below = False
                 continue
-            np.abs(term_b, out=size_b)
-            np.abs(total_b, out=bound_b)
-            np.maximum(bound_b, 1e-300, out=bound_b)
-            np.multiply(bound_b, tol, out=bound_b)
-            is_below = bool(np.less_equal(size_b, bound_b, out=below_b).all())
-            if is_below and was_below and d >= stop:
-                reached = d
+            np.abs(term, out=size)
+            np.abs(total, out=bound)
+            np.maximum(bound, 1e-300, out=bound)
+            np.multiply(bound, tol, out=bound)
+            is_below = bool(np.less_equal(size, bound, out=below).all())
+            if is_below and was_below:
+                converged = True
                 break
             was_below = is_below
-            watch = watch if is_below else int(np.argmin(below_b))
-        block[1:] = d, was_below, watch
-        return reached
-
-    stop, agreed, i = 1, 0, 0
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite lanes raise below
-        while agreed < len(blocks):
-            reached = advance(blocks[i % len(blocks)], stop)
-            agreed, stop, i = agreed + 1 if reached == stop else 1, reached, i + 1
+            watch = watch if is_below else int(np.argmin(below))
     if not np.all(np.isfinite(total)):
         raise OverflowError(f"F series (k={k}) exceeds double range")
-    if stop > max_shells:
+    if not converged:
         raise ConvergenceError(f"F series did not converge within {max_shells} shells")
     return total.reshape(shape)
 
@@ -225,7 +191,10 @@ def f_series(k, w):
 def _f_series_vec(k, s, weights=None):
     """F over an array of (already summed) arguments s to SHELL_TOL; the hot
     path of the Monte Carlo and quadrature trace evaluations.  `weights`
-    (length MAX_SHELLS + 1) weights shell d by weights[d], as in _shell_sum."""
+    (length MAX_SHELLS + 1) weights shell d by weights[d], as in _shell_sum.
+    The kernel's buffers are as long as s, so the Monte Carlo kernel and
+    sliced traces pass at most one measure._BLOCK_ROWS block per call, and
+    every lane of a call shares its stop shell; no caller passes more."""
     s = np.asarray(s, dtype=complex if np.iscomplexobj(s) else float)
     return _shell_sum(k, s, SHELL_TOL, MAX_SHELLS, weights)
 

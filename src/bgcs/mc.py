@@ -19,9 +19,11 @@ from .specfun import _integer
 
 DEFAULT_SEED = 20260823
 # The piece length of the Monte Carlo resolution of unity and the kernel and
-# sliced traces: the kernel trace holds a piece's labels whole, the other two its
-# radii whole and the rest one measure._BLOCK_ROWS block at a time.  sample and
-# sampler_report take each worker's share as one piece: the layout fixes the labels.
+# sliced traces: the kernel trace holds a piece's labels whole and evaluates F
+# one measure._BLOCK_ROWS block at a time, the other two hold its radii whole and
+# the rest one block at a time, so no caller passes F more than one block.
+# sample and sampler_report take each worker's share as one piece: the layout
+# fixes the labels.
 CHUNK = 200_000
 
 

@@ -244,8 +244,10 @@ def moment_check(model, n_vec):
 
 
 # Rows per block of the streamed Monte Carlo loops (labels of sampler_report and
-# the sliced trace, monomial entries of the Gram): of 2^10 ... 2^19, 2^14 ran a
-# 300,000-sample report at N = 3 fastest, at 14 bytes per sample.
+# the sliced trace, monomial entries of the Gram, overlap arguments of the kernel
+# trace): of 2^10 ... 2^19, 2^14 ran a 300,000-sample report at N = 3 fastest, at
+# 14 bytes per sample.  No caller in bgcs passes the overlap kernel more than one
+# block per call.
 _BLOCK_ROWS = 1 << 14
 
 

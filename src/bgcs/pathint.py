@@ -330,8 +330,10 @@ def exact_kernel_trace(hp, k, beta, mode="quadrature", budget=10**6,
     t = np.exp(-beta * hp.mu)
     acc = mc.RunningMoments()
     for rng, chunk in parts:
-        r, _ = measure.draw_labels(model, chunk, rng)
-        acc.add(_f_series_vec(k, r @ t))
+        f = measure.draw_labels(model, chunk, rng)[0] @ t  # s = r . t, then F(K; s) in place
+        for i in range(0, chunk, measure._BLOCK_ROWS):  # one block per F call, in cache
+            f[i:i + measure._BLOCK_ROWS] = _f_series_vec(k, f[i:i + measure._BLOCK_ROWS])
+        acc.add(f)
     params.update(budget=int(budget), seed=int(seed), workers=int(workers),
                   variance_warning=bool(beta * float(np.min(hp.mu)) <= VARIANCE_SAFE_LOG),
                   max_fraction=acc.max_fraction)

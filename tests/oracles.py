@@ -9,8 +9,10 @@ plain or branch-by-branch form of a library kernel that the kernel must
 match bit for bit (`shell_sum_reference`, `generator_matrix_reference`,
 `transfer_exp_reference`, `basis_monomials_reference`), or a streamed Monte
 Carlo loop from whole-piece labels (`resolution_gram_reference`,
-`sliced_trace_reference`).
+`sliced_trace_reference`, `kernel_trace_reference`).
 """
+
+import math
 
 import mpmath as mp
 import numpy as np
@@ -350,3 +352,22 @@ def sliced_trace_reference(hp, k, config):
             nonfinite += int(prod.size - np.count_nonzero(good))
             acc.add(prod[good])
     return acc.mean, acc.sem, nonfinite
+
+
+def kernel_trace_reference(hp, k, beta, budget, seed, workers):
+    """(value, error) of the Monte Carlo bgcs.pathint.exact_kernel_trace, from
+    each piece's labels drawn by bgcs.measure.draw_labels, with F summed by
+    shell_sum_reference over the same blocks of at most measure._BLOCK_ROWS
+    labels."""
+    from bgcs import coherent, mc, measure
+
+    model, rows = measure.MeasureModel(hp.n, k), measure._BLOCK_ROWS
+    t = np.exp(-beta * hp.mu)
+    acc = mc.RunningMoments()
+    for rng, piece in mc.draws(seed, workers, budget, mc.CHUNK):
+        s = measure.draw_labels(model, piece, rng)[0] @ t
+        acc.add(np.concatenate([
+            shell_sum_reference(k, s[start:start + rows], coherent.SHELL_TOL, coherent.MAX_SHELLS)
+            for start in range(0, piece, rows)]))
+    prefactor = math.exp(-beta * k * hp.c[-1])
+    return prefactor * acc.mean, prefactor * acc.sem

@@ -3,7 +3,6 @@ property on truncated spaces."""
 
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,14 +231,12 @@ def _shell_family(name, lanes, rng):
     }[name]
 
 
-def _block(dtype):
-    """Lanes in one block of the kernel for this dtype."""
-    return coherent._BLOCK_BYTES // np.dtype(dtype).itemsize
+LANES = 20_005  # a call of many lanes, with room for a slow lane far from the first
 
 
-def _blocks_of(fill, dtype):
-    """Two blocks and a ragged third of `fill`, as `dtype`."""
-    return np.full(2 * _block(dtype) + 5, fill, dtype=dtype)
+def _lanes_of(fill, dtype):
+    """LANES lanes of `fill`, as `dtype`."""
+    return np.full(LANES, fill, dtype=dtype)
 
 
 def _with(s, lanes, value):
@@ -248,46 +245,32 @@ def _with(s, lanes, value):
     return s
 
 
-@pytest.mark.parametrize("lanes", [0, 1, 2, 7, 300, 3000, "block+1", 40_001])
+@pytest.mark.parametrize("lanes", [0, 1, 2, 7, 300, 3000, pytest.param(16_385, id="block+1"),
+                                   40_001])
 @pytest.mark.parametrize("family", ["real", "negative", "imaginary", "near-negative-axis",
                                     "disc", "sliced", "weighted-real", "weighted-complex"])
 def test_shell_sum_is_the_reference_loop(family, lanes):
-    """The kernel's watched-lane stop test, its reciprocal scaling of
-    complex lanes and its blocks leave every bit of the plain every-lane
-    loop.  block+1 is one block of the family's dtype and one lane more
-    (rows, for the sliced family); 40,001 lanes end in a ragged block."""
-    if lanes == "block+1":
-        lanes = _block(_shell_family(family, 1, np.random.default_rng(0))[1].dtype) + 1
+    """The kernel's watched-lane stop test and its reciprocal scaling of
+    complex lanes leave every bit of the plain every-lane loop.  block+1 is
+    one lane (row, for the sliced family) more than a Monte Carlo caller
+    passes in one call, one measure._BLOCK_ROWS block of 16,384; 40,001 is
+    more again."""
     k, s, weights = _shell_family(family, lanes, np.random.default_rng(lanes))
     assert (_outcome(coherent._shell_sum, k, s, weights=weights)
             == _outcome(oracles.shell_sum_reference, k, s, weights=weights))
 
 
-def test_blocked_scratch_is_one_block():
-    """Over many blocks, a call holds its result and its running shells at
-    full length and its per-shell scratch at one block's length: well under
-    the four full-length buffers one array would need."""
-    s = np.random.default_rng(5).uniform(-50.0, 50.0, 20 * _block(complex)) + 1.0j
-    tracemalloc.start()
-    try:
-        coherent._shell_sum(1.5, s, coherent.SHELL_TOL, coherent.MAX_SHELLS)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * s.nbytes + s.size + 4 * coherent._BLOCK_BYTES
-
-
 @pytest.mark.parametrize("s", [
-    _with(_blocks_of(0.5, float), -2, 300.0),
-    _with(_blocks_of(0.5, float), _block(float) + 7, -250.0),
-    _with(_blocks_of(0.5, complex), -1, -300.0 + 1.0j),
-    _with(_blocks_of(0.5, complex), _block(complex) + 3, 40.0 + 60.0j),
+    _with(_lanes_of(0.5, float), -2, 300.0),
+    _with(_lanes_of(0.5, float), 10_007, -250.0),
+    _with(_lanes_of(0.5, complex), -1, -300.0 + 1.0j),
+    _with(_lanes_of(0.5, complex), 10_003, 40.0 + 60.0j),
 ])
-def test_a_slow_lane_in_a_later_block_sets_the_stop_shell(s):
-    """The first block settles within 20 shells, where the whole array does
-    not: the later block's slow lane sets the stop shell for every lane."""
-    head = s[:_block(s.dtype)]
-    assert _outcome(oracles.shell_sum_reference, 1.5, head, 20)[0] == s.dtype
+def test_one_slow_lane_sets_the_calls_one_stop_shell(s):
+    """Every lane but one settles within 20 shells, where the whole array
+    does not: that slow lane sets the one stop shell of every lane."""
+    rest = np.delete(s, int(np.abs(s).argmax()))
+    assert _outcome(oracles.shell_sum_reference, 1.5, rest, 20)[0] == s.dtype
     assert _outcome(oracles.shell_sum_reference, 1.5, s, 20)[0] is coherent.ConvergenceError
     assert _outcome(coherent._shell_sum, 1.5, s) == _outcome(oracles.shell_sum_reference, 1.5, s)
 
@@ -312,21 +295,21 @@ def test_kernel_trace_shell_sum_is_the_reference_loop(mu, beta):
     (np.array([0.5, 1e300 + 1e300j]), coherent.MAX_SHELLS, OverflowError),
     (np.array([0.5, 50.0]), 3, coherent.ConvergenceError),
     (np.array([0.5, -50.0 + 1j]), 4, coherent.ConvergenceError),
-    (_with(_blocks_of(0.5, float), -1, np.inf), coherent.MAX_SHELLS, OverflowError),
-    (_with(_blocks_of(0.5, float), -1, np.nan), coherent.MAX_SHELLS, OverflowError),
-    (_with(_blocks_of(0.5 + 0.5j, complex), -1, 1.0 + np.inf * 1j), coherent.MAX_SHELLS,
+    (_with(_lanes_of(0.5, float), -1, np.inf), coherent.MAX_SHELLS, OverflowError),
+    (_with(_lanes_of(0.5, float), -1, np.nan), coherent.MAX_SHELLS, OverflowError),
+    (_with(_lanes_of(0.5 + 0.5j, complex), -1, 1.0 + np.inf * 1j), coherent.MAX_SHELLS,
      OverflowError),
-    (_with(_blocks_of(0.5 + 0.5j, complex), -3, np.nan), coherent.MAX_SHELLS, OverflowError),
-    (_with(_blocks_of(0.5, float), -1, 50.0), 12, coherent.ConvergenceError),
-    (_with(_blocks_of(0.5 - 1.0j, complex), -1, -50.0 + 1.0j), 12, coherent.ConvergenceError),
-    (_with(_with(_blocks_of(0.5, float), -1, 50.0), 0, np.inf), 12, OverflowError),
+    (_with(_lanes_of(0.5 + 0.5j, complex), -3, np.nan), coherent.MAX_SHELLS, OverflowError),
+    (_with(_lanes_of(0.5, float), -1, 50.0), 12, coherent.ConvergenceError),
+    (_with(_lanes_of(0.5 - 1.0j, complex), -1, -50.0 + 1.0j), 12, coherent.ConvergenceError),
+    (_with(_with(_lanes_of(0.5, float), -1, 50.0), 0, np.inf), 12, OverflowError),
 ])
 def test_shell_sum_errors_are_the_reference_loops(s, max_shells, error):
     """An inf or NaN lane, a lane past double range and too few shells
     raise the reference loop's error, class and text; so do an inf or NaN
-    lane in the last of three blocks, and too few shells for one lane of
-    the last block (the |s| = 0.5 lanes of the others settle by shell 12),
-    where an inf lane in the first block outranks ConvergenceError."""
+    lane at the end of a long call, and too few shells for its last lane
+    (the |s| = 0.5 lanes settle by shell 12), where an inf first lane
+    outranks ConvergenceError."""
     got = _outcome(coherent._shell_sum, 1.5, s, max_shells)
     assert got[0] is error
     assert got == _outcome(oracles.shell_sum_reference, 1.5, s, max_shells)

@@ -251,6 +251,36 @@ def test_kernel_trace_montecarlo_warns_outside_window():
     assert res.params["variance_warning"] is True
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_kernel_trace_montecarlo_is_the_blockwise_reference(workers):
+    """250,001 samples are two pieces at one worker (200,000 and 50,001) and
+    one per worker at two, each ending in a ragged block: the estimate is
+    the reference loop's over the same blocks, bit for bit."""
+    hp = pathint.HamiltonianParams.from_mu([1.0, 1.6])
+    res = pathint.exact_kernel_trace(hp, 1.5, 1.0, mode="montecarlo", budget=250_001,
+                                     seed=7, workers=workers)
+    assert (res.value, res.error) == oracles.kernel_trace_reference(hp, 1.5, 1.0, 250_001,
+                                                                    7, workers)
+
+
+@pytest.mark.parametrize("budget", [50_000, 200_000])
+def test_kernel_montecarlo_holds_one_block_of_scratch(budget):
+    """A piece holds its labels whole (r and theta, 16 bytes per label at
+    N = 1), two more piece-length arrays of 8 bytes per label (a draw's
+    temporary, and the arguments r . t that F overwrites in place), and F's
+    scratch for one measure._BLOCK_ROWS block: the same bound past the
+    labels for 4 blocks and for 13."""
+    hp = pathint.HamiltonianParams.from_mu([1.0])
+    pathint.exact_kernel_trace(hp, 1.5, 1.0, mode="montecarlo", budget=10)  # fills the caches
+    tracemalloc.start()
+    try:
+        pathint.exact_kernel_trace(hp, 1.5, 1.0, mode="montecarlo", budget=budget, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * budget + 2 * 8 * budget + 8 * 8 * measure._BLOCK_ROWS
+
+
 def test_kernel_trace_domain():
     hp = pathint.HamiltonianParams.from_mu([1.0])
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """The sliced-trace convergence script, run end to end on a short ladder."""
 
+import csv
 import importlib.util
 import json
 from pathlib import Path
@@ -27,6 +28,21 @@ def test_short_ladder_reports_both_weight_forms(tmp_path, capsys):
         assert abs(order - 1.0) < 0.2
     err = capsys.readouterr().err
     assert "linear: fitted order" in err and "exp: fitted order" in err
+
+
+def test_csv_report_is_the_json_rows_with_lf_line_ends(tmp_path):
+    """--format csv writes the JSON report's rows, one line each, ended by a
+    bare LF as every bgcs command writes."""
+    script, rows = _load(), {}
+    for fmt in ("json", "csv"):
+        rows[fmt] = tmp_path / f"sweep.{fmt}"
+        assert script.main(["--m-max", "16", "--format", fmt, "--out", str(rows[fmt])]) == 0
+    data = rows["csv"].read_bytes()
+    assert b"\r" not in data and data.endswith(b"\n")
+    expected = json.loads(rows["json"].read_text())["rows"]
+    got = list(csv.DictReader(data.decode().splitlines()))
+    assert got == [{key: str(value) for key, value in row.items()} for row in expected]
+    assert data.decode().splitlines()[0] == "abs_err,rel_err,slices,value,weights"
 
 
 def test_monte_carlo_options_are_usage_errors(capsys):
